@@ -382,7 +382,7 @@ void BM_PowerTimelineMoveDelta(benchmark::State& state) {
   for (auto _ : state) {
     const Time a = rng.uniformInt(0, 2200);
     const Time b = rng.uniformInt(0, 2200);
-    benchmark::DoNotOptimize(timeline.moveDelta(a, a + 60, b, b + 60, 5));
+    benchmark::DoNotOptimize(timeline.peekMoveDelta(a, a + 60, b, b + 60, 5));
   }
 }
 BENCHMARK(BM_PowerTimelineMoveDelta);

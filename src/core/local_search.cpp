@@ -1,6 +1,7 @@
 #include "core/local_search.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -90,21 +91,57 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
     return a < b;
   });
 
+  // Dirty set: a probe of v reads only the timeline over the conservative
+  // range [start(v) − r, end(v) + r) and the starts of v's Gc neighbours,
+  // and every delta is an exact integer independent of how the timeline
+  // is cut into segments. A task whose inputs are untouched since its last
+  // (gainless) probe would get the same deltas back, so it is skipped —
+  // the applied-move sequence, the round count and the schedule are those
+  // of a full scan. Every task starts dirty; probing clears the flag.
+  const Time r = opts.radius;
+  std::vector<std::uint8_t> dirty(static_cast<std::size_t>(gc.numNodes()), 1);
+  const auto markAround = [&](TaskId u, Time a, Time b, Time a2, Time b2) {
+    for (const TaskId x : gc.preds(u)) dirty[static_cast<std::size_t>(x)] = 1;
+    for (const TaskId x : gc.succs(u)) dirty[static_cast<std::size_t>(x)] = 1;
+    // x reads the changed span [min(a, a2), max(b, b2)) iff
+    // end(x) > min(a, a2) − r and start(x) < max(b, b2) + r. Chain edges
+    // keep starts and ends monotone along every processor order of a
+    // feasible schedule, so the hits form one binary-searchable run.
+    const Time lo = std::min(a, a2) - r;
+    const Time hi = std::max(b, b2) + r;
+    for (ProcId q = 0; q < gc.numProcs(); ++q) {
+      const auto chain = gc.procOrder(q);
+      auto it = std::partition_point(chain.begin(), chain.end(), [&](TaskId x) {
+        return schedule.end(x, gc) <= lo;
+      });
+      const auto last = std::partition_point(
+          it, chain.end(), [&](TaskId x) { return schedule.start(x) < hi; });
+      for (; it != last; ++it) dirty[static_cast<std::size_t>(*it)] = 1;
+    }
+  };
+
   while (stats.rounds < opts.maxRounds) {
     ++stats.rounds; // counts executed passes, including the final gainless one
-    // One span per improvement pass; the batched-probe volume rides along
-    // as an arg so the probe cost is visible without per-probe events.
+    // One span per improvement pass; the batched-probe volume and the
+    // clean tasks skipped ride along as args, so the probe cost is
+    // visible without per-probe events.
     obs::TraceScope round("ls.round");
     std::int64_t probes = 0;
+    std::int64_t skipped = 0;
     bool improved = false;
     for (const ProcId p : procs) {
       for (const TaskId v : gc.procOrder(p)) {
         const Time len = gc.len(v);
         if (len == 0) continue; // zero-length nodes draw no power
+        std::uint8_t& flag = dirty[static_cast<std::size_t>(v)];
+        if (!flag) {
+          ++skipped;
+          continue;
+        }
+        flag = 0;
         const Power w = gc.workPower(p);
         const Time cur = schedule.start(v);
-        const auto [lo, hi] =
-            moveWindow(gc, deadline, schedule, v, len, opts.radius);
+        const auto [lo, hi] = moveWindow(gc, deadline, schedule, v, len, r);
 
         Time bestTarget = cur;
         Cost bestDelta = 0;
@@ -135,12 +172,14 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
         if (bestDelta < 0) {
           timeline.applyMove(cur, cur + len, bestTarget, bestTarget + len, w);
           schedule.setStart(v, bestTarget);
+          markAround(v, cur, cur + len, bestTarget, bestTarget + len);
           ++stats.movesApplied;
           improved = true;
         }
       }
     }
     round.arg("probes", probes);
+    round.arg("skipped", skipped);
     if (!improved) break;
   }
   stats.finalCost = timeline.totalCost();

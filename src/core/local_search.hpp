@@ -16,7 +16,9 @@
 /// units left or right, earliest candidate first. The first legal move with
 /// a strictly positive gain is applied. Rounds repeat until one full round
 /// brings no gain. Because only improving moves are accepted, the final
-/// cost never exceeds the initial one.
+/// cost never exceeds the initial one. A round skips every task whose
+/// probe inputs (nearby load, neighbour starts) are unchanged since its
+/// last gainless probe; the move sequence is exactly the full scan's.
 
 namespace cawo {
 

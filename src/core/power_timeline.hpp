@@ -30,9 +30,9 @@
 /// probe boundaries forever).
 ///
 /// Every cost is an exact 64-bit integer and per-segment terms are always
-/// accumulated left to right, so `totalCost`/`moveDelta`/`peekMoveDelta`
-/// return values bit-identical to the retained map-backed oracle
-/// (`MapPowerTimeline`, pinned by property test).
+/// accumulated left to right, so `totalCost`/`peekMoveDelta` return values
+/// bit-identical to the retained map-backed oracle (`MapPowerTimeline`,
+/// pinned by property test).
 
 namespace cawo {
 
@@ -79,17 +79,10 @@ public:
   Cost costInRange(Time a, Time b) const;
 
   /// Cost change if a load of `work` moved from [a, b) to [a2, b2);
-  /// negative = improvement. Computed read-only over the affected segment
-  /// pieces — unlike the historical map-backed probe it never mutates the
-  /// timeline and leaves no split residue.
-  Cost moveDelta(Time a, Time b, Time a2, Time b2, Power work) const {
-    return peekMoveDelta(a, b, a2, b2, work);
-  }
-
-  /// The same value as `moveDelta` (they are now one implementation): the
-  /// delta is summed over the affected segment pieces directly. Genuinely
-  /// read-only, so it is safe to call from many threads at once on a
-  /// shared timeline.
+  /// negative = improvement. The delta is summed over the affected segment
+  /// pieces directly — unlike the historical map-backed mutate-and-revert
+  /// probe it never mutates the timeline and leaves no split residue, so
+  /// it is safe to call from many threads at once on a shared timeline.
   Cost peekMoveDelta(Time a, Time b, Time a2, Time b2, Power work) const;
 
   /// Reusable workspace for `peekMoveDeltas`; hand the same object to

@@ -84,14 +84,6 @@ std::string readWholeFile(const std::string& path) {
   return buffer.str();
 }
 
-std::uint64_t parseIndexHash(const std::string& hex) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(hex.c_str(), &end, 16);
-  CAWO_REQUIRE(hex.size() == 16 && end == hex.c_str() + hex.size(),
-               "store index: malformed hash \"" + hex + "\"");
-  return static_cast<std::uint64_t>(v);
-}
-
 struct IndexEntry {
   std::size_t instance = 0;
   std::size_t cell = 0;

@@ -32,9 +32,10 @@ TEST_P(FamilyGen, SizeIsCloseToTargetAndGraphIsADag) {
     EXPECT_GE(e.data, 0);
     edgeSum += static_cast<double>(e.data);
   }
-  if (!g.edges().empty())
+  if (!g.edges().empty()) {
     EXPECT_GT(vertexSum / static_cast<double>(g.numTasks()),
               edgeSum / static_cast<double>(g.edges().size()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

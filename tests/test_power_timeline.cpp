@@ -68,7 +68,7 @@ TEST(PowerTimeline, MoveDeltaLeavesTimelineUnchanged) {
   PowerTimeline t(p, 0);
   t.addLoad(0, 4, 7);
   const Cost before = t.totalCost();
-  const Cost delta = t.moveDelta(0, 4, 10, 14, 7);
+  const Cost delta = t.peekMoveDelta(0, 4, 10, 14, 7);
   EXPECT_EQ(t.totalCost(), before);
   EXPECT_EQ(delta, 0); // uniform budget → no gain anywhere
 }
@@ -80,24 +80,30 @@ TEST(PowerTimeline, MoveDeltaSeesImprovement) {
   PowerTimeline t(p, 0);
   t.addLoad(0, 5, 4); // cost 20 in the dark interval
   EXPECT_EQ(t.totalCost(), 20);
-  const Cost delta = t.moveDelta(0, 5, 12, 17, 4);
+  const Cost delta = t.peekMoveDelta(0, 5, 12, 17, 4);
   EXPECT_EQ(delta, -20);
   EXPECT_EQ(t.totalCost(), 20); // unchanged by the probe
 }
 
 TEST(PowerTimeline, PeekMoveDeltaMatchesMutatingProbe) {
-  // peekMoveDelta is the read-only twin the parallel candidate scan uses;
-  // it must agree with moveDelta on every move shape — disjoint, partial
-  // overlap, containment, zero-width old or new range — and, unlike the
-  // mutating probe, must not grow the segment map.
+  // peekMoveDelta is the read-only probe the candidate scan uses; it must
+  // agree with the historical mutate-and-revert probe (kept on the
+  // map-backed oracle) on every move shape — disjoint, partial overlap,
+  // containment, zero-width old or new range — and, unlike the mutating
+  // probe, must not grow the segment map.
   Rng rng(4242);
   const Time horizon = 60;
   for (int trial = 0; trial < 200; ++trial) {
     const PowerProfile p = randomProfile(horizon, 6, 0, 9, rng);
-    PowerTimeline t(p, rng.uniformInt(0, 3));
+    const Power base = rng.uniformInt(0, 3);
+    PowerTimeline t(p, base);
+    MapPowerTimeline mutating(p, base);
     for (int l = 0; l < 4; ++l) {
       const Time a = rng.uniformInt(0, horizon - 1);
-      t.addLoad(a, rng.uniformInt(a + 1, horizon), rng.uniformInt(1, 6));
+      const Time b = rng.uniformInt(a + 1, horizon);
+      const Power w = rng.uniformInt(1, 6);
+      t.addLoad(a, b, w);
+      mutating.addLoad(a, b, w);
     }
     const Time a = rng.uniformInt(0, horizon);
     const Time b = rng.uniformInt(a, horizon); // may be empty (a == b)
@@ -109,7 +115,7 @@ TEST(PowerTimeline, PeekMoveDeltaMatchesMutatingProbe) {
     const auto segsBefore = t.numSegments();
     const Cost peeked = t.peekMoveDelta(a, b, a2, b2, work);
     EXPECT_EQ(t.numSegments(), segsBefore) << "peek split a segment";
-    EXPECT_EQ(peeked, t.moveDelta(a, b, a2, b2, work))
+    EXPECT_EQ(peeked, mutating.moveDelta(a, b, a2, b2, work))
         << "trial " << trial << ": move [" << a << "," << b << ") -> ["
         << a2 << "," << b2 << ") work " << work;
   }
@@ -192,11 +198,11 @@ TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
             << ") w=" << w;
         break;
       }
-      case 4: { // moveDelta (mutate-and-revert on the oracle, pure here)
+      case 4: { // peek vs the oracle's mutate-and-revert moveDelta
         Time a2, b2;
         randSpan(a2, b2);
         const Power w = rng.uniformInt(0, 5);
-        EXPECT_EQ(flat.moveDelta(a, b, a2, b2, w),
+        EXPECT_EQ(flat.peekMoveDelta(a, b, a2, b2, w),
                   oracle.moveDelta(a, b, a2, b2, w));
         break;
       }
@@ -293,7 +299,7 @@ TEST(PowerTimeline, SegmentCountStaysBoundedUnderChurn) {
     const Time len = ld.end - ld.begin;
     const Time a2 = rng.uniformInt(0, horizon - len);
     // Probe first (read-only), then apply: the local-search pattern.
-    (void)t.moveDelta(ld.begin, ld.end, a2, a2 + len, ld.work);
+    (void)t.peekMoveDelta(ld.begin, ld.end, a2, a2 + len, ld.work);
     t.applyMove(ld.begin, ld.end, a2, a2 + len, ld.work);
     ld.begin = a2;
     ld.end = a2 + len;
