@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> labels;
     std::vector<double> values;
     for (std::size_t j = 0; j < b.perInterval.size(); ++j) {
-      labels.push_back("h" + std::to_string(j));
+      labels.push_back(indexedName("h", static_cast<std::int64_t>(j)));
       values.push_back(static_cast<double>(b.perInterval[j]));
     }
     printBarChart(std::cout, std::string("brown energy per hour — ") + name,

@@ -90,8 +90,8 @@ std::vector<Schedule> runVariants(const SolveContext& ctx,
                                   std::vector<VariantRunStats>* stats) {
   if (stats) stats->assign(specs.size(), VariantRunStats{});
 
-  // Prime every shared artifact the fan-out will read — after this the
-  // frozen context serves cache hits only.
+  // Prime every shared artifact the fan-out will read, so the variants
+  // start from cache hits instead of queueing on the context's lock.
   {
     obs::TraceScope prime("context.prime");
     (void)ctx.initialEst();
@@ -118,7 +118,6 @@ std::vector<Schedule> runVariants(const SolveContext& ctx,
   if (threads != 1) inner.threads = 1;
 
   std::vector<Schedule> out(specs.size());
-  const SolveContextFreezeGuard freeze(ctx);
   parallelFor(specs.size(), threads, [&](std::size_t i) {
     out[i] = runVariant(ctx, specs[i], inner,
                         stats ? &(*stats)[i] : nullptr);

@@ -88,9 +88,9 @@ Schedule runVariant(const SolveContext& ctx, const VariantSpec& spec,
 /// Run several variants on one shared context, fanned out across
 /// `threads` workers (0 = hardware). The shared prefix work — initial
 /// windows, ASAP makespan, the refined interval set and every score
-/// order the selection needs — is primed once up front and the context
-/// is frozen for the fan-out, so concurrent variant runs only ever read
-/// it (see SolveContext's concurrency contract). `out[i]` / `stats[i]`
+/// order the selection needs — is primed once up front, so concurrent
+/// variant runs only read cached artifacts (see SolveContext's
+/// concurrency contract). `out[i]` / `stats[i]`
 /// belong to `specs[i]`; results are bit-identical to running
 /// `runVariant` serially in `specs` order, for every thread count.
 std::vector<Schedule> runVariants(const SolveContext& ctx,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/require.hpp"
+#include "util/strings.hpp"
 
 namespace cawo {
 
@@ -74,7 +75,7 @@ Platform Platform::uniform(int numProcs, std::int64_t speed, Power idle,
   CAWO_REQUIRE(numProcs >= 1, "need at least one processor");
   Platform pf;
   for (int i = 0; i < numProcs; ++i) {
-    pf.addProcessor({"U" + std::to_string(i), speed, idle, work});
+    pf.addProcessor({indexedName("U", i), speed, idle, work});
   }
   return pf;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -26,18 +27,17 @@
 /// instance, so sharing cannot change any result — the golden-parity tests
 /// pin that.
 ///
-/// Concurrency contract (see DESIGN.md, "Parallel solve core"): the lazy
-/// caches are unsynchronized, so a context being *filled* must stay
-/// confined to one thread — the experiment runners build one context per
-/// instance shard, and the serve daemon guards each cached context with a
-/// per-entry mutex for exactly this reason. Once every artifact a fan-out
-/// needs has been computed, `freeze()` flips the context read-only:
-/// concurrent readers are then safe by construction, and a getter that
-/// would have to compute something new throws instead of mutating — an
-/// unprimed access under concurrency surfaces as a deterministic error,
-/// never a data race. Intra-solve parallelism never aliases a context's
-/// caches: the parallel kernels (refinement marking, local-search scans
-/// and restarts) work on their own state and only read the context.
+/// Concurrency contract (see DESIGN.md, "Parallel solve core"): one
+/// context may be shared by any number of threads. Every memoizing getter
+/// takes the context's internal mutex and computes a missing artifact under
+/// it, so concurrent first accesses compute each artifact exactly once and
+/// every caller sees the same bytes. Artifacts live in `std::map` nodes or
+/// write-once members, so the references handed out stay valid — and
+/// unchanged — after the lock is released. The lock is taken a handful of
+/// times per solve, never per task. Intra-solve parallelism never aliases
+/// a context's caches: the parallel kernels (refinement marking, local-
+/// search scans and restarts) work on their own state and only read the
+/// artifacts.
 
 namespace cawo {
 
@@ -91,28 +91,25 @@ public:
   /// Worker threads (0 = hardware) used when a lazily computed artifact
   /// supports internal parallelism (today: the dense interval-refinement
   /// mark pass). Never changes any artifact — those parallel paths are
-  /// order-independent by construction.
+  /// order-independent by construction. Set it before sharing the context.
   void setThreads(unsigned threads) { threads_ = threads; }
   unsigned threads() const { return threads_; }
 
-  /// Flip the context read-only for a parallel section (see the class
-  /// comment); `thaw()` lifts it. Const because freezing only affects
-  /// whether an unprimed access throws, never any computed value. Not
-  /// reentrant — one freeze per context at a time.
-  void freeze() const { frozen_ = true; }
-  void thaw() const { frozen_ = false; }
-  bool frozen() const { return frozen_; }
-
 private:
-  void requireUnfrozen(const char* artifact) const;
+  // Unlocked helpers for getters that build on other artifacts; the
+  // caller holds `mutex_`.
+  const std::vector<Time>& estLocked() const;
+  const std::vector<Time>& lstLocked() const;
+  const std::vector<Interval>& refinedLocked(int blockSize) const;
 
   const EnhancedGraph* gc_;
   const PowerProfile* profile_;
   Time deadline_;
 
   // Lazy caches; mutable because memoization is not observable behaviour.
+  // The windows are empty until computed (an empty graph recomputes
+  // nothing).
   mutable std::vector<Time> est_, lst_;
-  mutable bool haveEst_ = false, haveLst_ = false;
   mutable Time asapMakespan_ = -1;
   mutable Power sumWorkPower_ = -1;
   mutable std::map<int, std::vector<Interval>> refinedByBlockSize_;
@@ -121,25 +118,9 @@ private:
   mutable std::map<std::pair<int, bool>, std::vector<TaskId>> orders_;
   /// key: blockSize for refined sets, −1 for the raw profile intervals.
   mutable std::map<int, BudgetTree> budgetTrees_;
-  mutable bool frozen_ = false;
+  /// Guards every lazy cache above.
+  mutable std::mutex mutex_;
   unsigned threads_ = 1;
-};
-
-/// RAII freeze for a parallel section over a shared context: freezes on
-/// construction, thaws on destruction (also on exceptions, so a failed
-/// fan-out never leaves the context stuck read-only).
-class SolveContextFreezeGuard {
-public:
-  explicit SolveContextFreezeGuard(const SolveContext& ctx) : ctx_(&ctx) {
-    ctx_->freeze();
-  }
-  ~SolveContextFreezeGuard() { ctx_->thaw(); }
-
-  SolveContextFreezeGuard(const SolveContextFreezeGuard&) = delete;
-  SolveContextFreezeGuard& operator=(const SolveContextFreezeGuard&) = delete;
-
-private:
-  const SolveContext* ctx_;
 };
 
 } // namespace cawo

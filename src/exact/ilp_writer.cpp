@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "util/require.hpp"
+#include "util/strings.hpp"
 
 namespace cawo {
 
@@ -30,8 +31,8 @@ IlpStats writeIlp(std::ostream& out, const EnhancedGraph& gc,
   const TaskId N = gc.numNodes();
 
   IlpStats stats;
-  std::size_t cid = 0;
-  auto cname = [&cid]() { return "c" + std::to_string(++cid); };
+  std::int64_t cid = 0;
+  auto cname = [&cid]() { return indexedName("c", ++cid); };
 
   // Big-M: no schedule can draw more brown power per unit than the total
   // platform power (Appendix A.4).

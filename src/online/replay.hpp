@@ -73,8 +73,9 @@ struct OnlineOptions {
   /// Optional shared per-instance context describing exactly
   /// (instance.gc, forecast, instance.deadline). Per-policy loops pass
   /// one so the memoized windows/score-order/refined-interval artifacts
-  /// are derived once per row, not once per policy. Not thread-safe:
-  /// the sharing replays must run sequentially. Must outlive the replay.
+  /// are derived once per row, not once per policy. The context
+  /// synchronizes itself, so replays sharing it may run concurrently.
+  /// Must outlive the replay.
   const SolveContext* sharedContext = nullptr;
 };
 

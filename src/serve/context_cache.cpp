@@ -52,7 +52,7 @@ ContextCache::EntryPtr ContextCache::acquire(const InstanceSpec& spec,
   const auto raced = bySpec_.find(key);
   if (raced != bySpec_.end()) {
     // Another thread built and inserted this spec meanwhile — share its
-    // entry so every worker serialises on the same context mutex.
+    // entry so every worker warms and reads the same context.
     touch(raced->second);
     return byHash_.at(raced->second);
   }

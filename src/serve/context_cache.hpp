@@ -27,10 +27,11 @@
 ///
 /// Concurrency: `acquire` is thread-safe; instance *builds* happen outside
 /// the cache lock (two concurrent first requests may both build — the
-/// loser's build is discarded and the shared entry wins). A `SolveContext`
-/// is not thread-safe, so workers must hold `Entry::mutex` while solving
-/// against the entry. Eviction only drops the cache's reference — workers
-/// holding the `shared_ptr` keep the entry alive until they finish.
+/// loser's build is discarded and the shared entry wins). There is no
+/// per-entry lock: `SolveContext` synchronizes itself, so any number of
+/// workers may solve against one entry at once. Eviction only drops the
+/// cache's reference — workers holding the `shared_ptr` keep the entry
+/// alive until they finish.
 
 namespace cawo {
 
@@ -46,7 +47,6 @@ public:
     Instance instance;
     SolveContext context;
     std::uint64_t hash = 0;   ///< canonical instance hash
-    std::mutex mutex;         ///< held while solving (context is lazy)
   };
   using EntryPtr = std::shared_ptr<Entry>;
 

@@ -294,31 +294,25 @@ void ServeServer::runSolveJob(const ServeRequest& request,
     return;
   }
 
+  // The cached SolveContext synchronizes itself, so solves on one hot
+  // entry run concurrently.
+  SolveRequest solveRequest;
+  solveRequest.gc = &entry->instance.gc;
+  solveRequest.profile = &entry->instance.profile;
+  solveRequest.deadline = entry->instance.deadline;
+  solveRequest.graph = &entry->instance.graph;
+  solveRequest.platform = &entry->instance.platform;
+  solveRequest.context = &entry->context;
+  solveRequest.options = mergedOptions(request.options);
   SolveResult result;
-  {
-    // The cached SolveContext is not thread-safe — one solve at a time
-    // per entry; different entries solve concurrently. Intra-solve
-    // parallelism (the `threads` solver option) is safe under this lock:
-    // the parallel kernels never touch the context's lazy caches (see
-    // SolveContext's concurrency contract).
-    const std::scoped_lock entryLock(entry->mutex);
-    SolveRequest solveRequest;
-    solveRequest.gc = &entry->instance.gc;
-    solveRequest.profile = &entry->instance.profile;
-    solveRequest.deadline = entry->instance.deadline;
-    solveRequest.graph = &entry->instance.graph;
-    solveRequest.platform = &entry->instance.platform;
-    solveRequest.context = &entry->context;
-    solveRequest.options = mergedOptions(request.options);
-    try {
-      result = solver->solve(solveRequest);
-    } catch (const PreconditionError& e) {
-      respondError(respond, request.id, "solve", "bad_request", e.what());
-      return;
-    } catch (const std::exception& e) {
-      respondError(respond, request.id, "solve", "solver_error", e.what());
-      return;
-    }
+  try {
+    result = solver->solve(solveRequest);
+  } catch (const PreconditionError& e) {
+    respondError(respond, request.id, "solve", "bad_request", e.what());
+    return;
+  } catch (const std::exception& e) {
+    respondError(respond, request.id, "solve", "solver_error", e.what());
+    return;
   }
 
   const Clock::time_point done = Clock::now();
@@ -407,11 +401,7 @@ void ServeServer::runReplayJob(const ServeRequest& request,
   // explicit actual spec the replay plans against exactly that forecast,
   // so the cached context applies; with an empty spec the engine generates
   // a *fresh* forecast/actual noise pair and must build its own context.
-  std::unique_lock<std::mutex> entryLock(entry->mutex, std::defer_lock);
-  if (!request.actual.empty()) {
-    opts.sharedContext = &entry->context;
-    entryLock.lock();
-  }
+  if (!request.actual.empty()) opts.sharedContext = &entry->context;
 
   OnlineResult result;
   try {
@@ -423,7 +413,6 @@ void ServeServer::runReplayJob(const ServeRequest& request,
     respondError(respond, request.id, "replay", "solver_error", e.what());
     return;
   }
-  if (entryLock.owns_lock()) entryLock.unlock();
 
   if (!result.ran) {
     respondError(respond, request.id, "replay", "solver_error",

@@ -117,6 +117,9 @@ public:
 
   ServeStats stats() const;
 
+  /// The request-line cap (`ServeOptions::maxRequestBytes`).
+  std::size_t maxRequestBytes() const { return options_.maxRequestBytes; }
+
 private:
   using Clock = std::chrono::steady_clock;
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -101,7 +102,8 @@ void TcpServeListener::stop() {
   // until the last responder drops its ConnPtr.
   {
     const std::scoped_lock lock(connMutex_);
-    for (const ConnPtr& conn : conns_) ::shutdown(conn->fd, SHUT_RDWR);
+    for (const std::weak_ptr<Conn>& weak : conns_)
+      if (const ConnPtr conn = weak.lock()) ::shutdown(conn->fd, SHUT_RDWR);
   }
   for (std::thread& t : connThreads_) t.join();
   connThreads_.clear();
@@ -133,6 +135,10 @@ void TcpServeListener::acceptLoop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Responses are whole lines written the moment they are ready; with
+    // Nagle on, a small one would wait for the peer's delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>(fd);
     const std::scoped_lock lock(connMutex_);
     if (stopped_) {
@@ -146,21 +152,34 @@ void TcpServeListener::acceptLoop() {
 }
 
 void TcpServeListener::connectionLoop(ConnPtr conn) {
+  const auto respond = [conn](const std::string& response) {
+    writeLine(conn, response);
+  };
+  // A request line may carry one '\r' past the cap. A partial line longer
+  // than that can never parse: it is answered `oversized` and the
+  // connection closed, so a peer that never sends '\n' cannot grow the
+  // buffer without bound.
+  const std::size_t maxPartial = server_.maxRequestBytes() + 1;
   std::string buffer;
+  std::size_t scanned = 0; // prefix of `buffer` known to hold no '\n'
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break; // EOF, error, or stop()'s shutdown
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
+    while ((eol = buffer.find('\n', scanned)) != std::string::npos) {
       std::string line = buffer.substr(0, eol);
       buffer.erase(0, eol + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (blankLine(line)) continue;
-      server_.submitLine(line, [conn](const std::string& response) {
-        writeLine(conn, response);
-      });
+      server_.submitLine(line, respond);
+    }
+    scanned = buffer.size();
+    if (buffer.size() > maxPartial) {
+      server_.submitLine(buffer, respond);
+      break;
     }
   }
 }

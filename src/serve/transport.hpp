@@ -21,7 +21,10 @@
 /// * `TcpServeListener` accepts local TCP connections (127.0.0.1 only —
 ///   this is a workstation-local service, not a network daemon) and pumps
 ///   each on its own reader thread. Port 0 binds an ephemeral port;
-///   `port()` reports the real one.
+///   `port()` reports the real one. Accepted sockets set `TCP_NODELAY`,
+///   so each response leaves the moment it is written, and a line that
+///   outgrows `ServeOptions::maxRequestBytes` before its newline is
+///   answered `oversized` and closes the connection.
 ///
 /// Both transports serialise their own output writes; blank input lines
 /// are ignored (so interactive `netcat` sessions can add breathing room).
@@ -54,9 +57,11 @@ public:
   void stop();
 
 private:
-  /// One accepted connection: the fd plus a write lock. Responders hold a
-  /// shared_ptr, so the fd outlives the reader thread until the last
-  /// in-flight response is written (no fd-reuse hazard).
+  /// One accepted connection: the fd plus a write lock. The reader thread
+  /// and every in-flight responder hold a shared_ptr; the fd closes when
+  /// the last of them lets go, so a connection whose reader has ended
+  /// still delivers its pending responses, then closes (no fd-reuse
+  /// hazard).
   struct Conn {
     explicit Conn(int f) : fd(f) {}
     ~Conn();
@@ -75,7 +80,7 @@ private:
   std::atomic<bool> stopRequested_{false};
   std::thread acceptThread_;
   std::mutex connMutex_;
-  std::vector<ConnPtr> conns_;
+  std::vector<std::weak_ptr<Conn>> conns_; ///< for stop()'s shutdown
   std::vector<std::thread> connThreads_;
   bool stopped_ = false;
 };

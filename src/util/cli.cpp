@@ -27,20 +27,13 @@ CliArgs::CliArgs(int argc, const char* const* argv,
     CAWO_REQUIRE(startsWith(arg, "--"),
                  "unexpected positional argument" + where + ": " + arg);
     arg = arg.substr(2);
-    std::string name;
-    std::string value;
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
+    const std::string name = arg.substr(0, eq);
+    std::string value = "1"; // a boolean flag unless a value follows
+    if (eq != std::string::npos)
       value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      if (i + 1 < argc && !startsWith(argv[i + 1], "--")) {
-        value = argv[++i];
-      } else {
-        value = "1"; // boolean flag
-      }
-    }
+    else if (i + 1 < argc && !startsWith(argv[i + 1], "--"))
+      value = argv[++i];
     CAWO_REQUIRE(std::find(knownFlags.begin(), knownFlags.end(), name) !=
                      knownFlags.end(),
                  "unknown flag --" + name + where + " (valid: " +

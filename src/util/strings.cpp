@@ -104,6 +104,12 @@ std::string formatFixed(double value, int precision) {
   return os.str();
 }
 
+std::string indexedName(std::string_view prefix, std::int64_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 std::string padLeft(std::string s, std::size_t width) {
   if (s.size() < width) s.insert(0, width - s.size(), ' ');
   return s;

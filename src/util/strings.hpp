@@ -44,6 +44,10 @@ bool isGlob(const std::string& s);
 /// Render a double with fixed precision (for tables).
 std::string formatFixed(double value, int precision);
 
+/// `prefix` followed by the decimal `index` ("t", 7 → "t7"). Appends, so
+/// GCC 12 raises no false -Wrestrict as on `"t" + std::to_string(7)`.
+std::string indexedName(std::string_view prefix, std::int64_t index);
+
 /// Left-pad / right-pad a string to the given width.
 std::string padLeft(std::string s, std::size_t width);
 std::string padRight(std::string s, std::size_t width);

@@ -6,6 +6,7 @@
 
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace cawo {
 
@@ -226,7 +227,7 @@ TaskGraph genChain(int n, const WorkflowGenOptions& opts) {
   TaskGraph g;
   TaskId prev = g.addTask("t0", w.vertex());
   for (int i = 1; i < n; ++i) {
-    const TaskId t = g.addTask("t" + std::to_string(i), w.vertex());
+    const TaskId t = g.addTask(indexedName("t", i), w.vertex());
     g.addEdge(prev, t, w.edge());
     prev = t;
   }
@@ -242,8 +243,8 @@ TaskGraph genForkJoin(int width, int depth, const WorkflowGenOptions& opts) {
   for (int b = 0; b < width; ++b) {
     TaskId prev = source;
     for (int d = 0; d < depth; ++d) {
-      const TaskId t = g.addTask(
-          "b" + std::to_string(b) + "_d" + std::to_string(d), w.vertex());
+      const TaskId t =
+          g.addTask(indexedName(indexedName("b", b) + "_d", d), w.vertex());
       g.addEdge(prev, t, w.edge());
       prev = t;
     }
@@ -257,7 +258,7 @@ TaskGraph genIndependent(int n, const WorkflowGenOptions& opts) {
   WeightSampler w(opts);
   TaskGraph g;
   for (int i = 0; i < n; ++i)
-    g.addTask("t" + std::to_string(i), w.vertex());
+    g.addTask(indexedName("t", i), w.vertex());
   return g;
 }
 
@@ -271,7 +272,7 @@ TaskGraph genLayeredRandom(int n, int layers, int maxFanIn,
   for (int i = 0; i < n; ++i) {
     const int l = i * layers / n;
     layer[static_cast<std::size_t>(l)].push_back(
-        g.addTask("t" + std::to_string(i), w.vertex()));
+        g.addTask(indexedName("t", i), w.vertex()));
   }
   for (int l = 1; l < layers; ++l) {
     const auto& prev = layer[static_cast<std::size_t>(l - 1)];
@@ -300,7 +301,7 @@ TaskGraph genRandomDag(int n, double edgeProb,
   WeightSampler w(opts);
   TaskGraph g;
   for (int i = 0; i < n; ++i)
-    g.addTask("t" + std::to_string(i), w.vertex());
+    g.addTask(indexedName("t", i), w.vertex());
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j)
       if (w.rng.uniform01() < edgeProb)

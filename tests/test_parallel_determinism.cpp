@@ -11,11 +11,14 @@
 //     serial best-of-N merge exactly at every thread count;
 //   * the wide-window parallel candidate scan matching the serial scan
 //     for both move strategies;
-//   * the frozen-context contract: priming covers the fan-out, and an
-//     unprimed access under freeze throws instead of racing.
+//   * the shared-context contract: eight threads racing on one unprimed
+//     context get every artifact, variant schedule and residual replay
+//     bit-identical to a serial context's.
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,8 +26,10 @@
 #include "core/cawosched.hpp"
 #include "core/local_search.hpp"
 #include "core/solve_context.hpp"
+#include "online/replay.hpp"
+#include "profile/profile_source.hpp"
+#include "sim/instance.hpp"
 #include "test_util.hpp"
-#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace cawo {
@@ -246,30 +251,97 @@ TEST(ParallelDeterminism, WideCandidateScanMatchesSerialScan) {
 }
 
 // -------------------------------------------------------------------------
-// Frozen-context contract.
+// Shared-context contract.
 // -------------------------------------------------------------------------
 
-TEST(ParallelDeterminism, FrozenContextServesPrimedArtifactsAndRejectsMisses) {
-  const RandomInstance inst = randomInstance(3);
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-  (void)ctx.initialEst();
-  (void)ctx.initialLst();
-  (void)ctx.refinedIntervals(3);
+/// Everything one caller derives from a context: every getter's artifact,
+/// all 16 variant schedules and a residual replay.
+struct ContextDigest {
+  std::vector<Time> est, lst;
+  Time asapMakespan = 0;
+  Power sumWorkPower = 0;
+  std::vector<std::vector<Time>> refined; ///< (begin, end, green) triples
+  std::vector<std::vector<TaskId>> orders;
+  std::vector<std::vector<std::pair<Time, Power>>> budgetTrees;
+  std::vector<Time> windowEst, windowLst;
+  std::vector<std::vector<Time>> schedules;
+  Cost replayCost = 0;
+  std::size_t resolves = 0, accepted = 0;
+  Time replayFinish = 0;
 
-  {
-    const SolveContextFreezeGuard freeze(ctx);
-    EXPECT_TRUE(ctx.frozen());
-    // Primed artifacts keep working (cache hits only) ...
-    EXPECT_NO_THROW((void)ctx.initialEst());
-    EXPECT_NO_THROW((void)ctx.refinedIntervals(3));
-    EXPECT_NO_THROW((void)ctx.windowState());
-    // ... an artifact that would have to be computed now throws instead
-    // of mutating under the fan-out's feet.
-    EXPECT_THROW((void)ctx.refinedIntervals(5), PreconditionError);
-    EXPECT_THROW((void)ctx.asapMakespan(), PreconditionError);
+  bool operator==(const ContextDigest&) const = default;
+};
+
+ContextDigest digestOf(const Instance& inst, const PowerProfile& actual,
+                       const SolveContext& ctx) {
+  ContextDigest d;
+  d.est = ctx.initialEst();
+  d.lst = ctx.initialLst();
+  d.asapMakespan = ctx.asapMakespan();
+  d.sumWorkPower = ctx.sumWorkPower();
+  for (const int blockSize : {3, 5}) {
+    std::vector<Time> flat;
+    for (const Interval& iv : ctx.refinedIntervals(blockSize))
+      flat.insert(flat.end(), {iv.begin, iv.end, iv.green});
+    d.refined.push_back(std::move(flat));
+    for (const bool refined : {true, false})
+      d.budgetTrees.push_back(
+          ctx.budgetTreePrototype(refined, blockSize).dump());
   }
-  EXPECT_FALSE(ctx.frozen());
-  EXPECT_NO_THROW((void)ctx.refinedIntervals(5)); // thawed: lazy again
+  const WindowState windows = ctx.windowState();
+  d.windowEst = windows.estAll();
+  d.windowLst = windows.lstAll();
+  for (const VariantSpec& spec : allVariants()) {
+    d.orders.push_back(
+        ctx.scoreOrder(ScoreOptions{spec.base, spec.weighted}));
+    d.schedules.push_back(runVariant(ctx, spec).starts());
+  }
+
+  OnlineOptions opts;
+  opts.solver = "pressWR";
+  opts.policy = "reactive:threshold=0.05";
+  opts.runtimeNoise = 0.3;
+  opts.clairvoyant = false;
+  opts.sharedContext = &ctx;
+  const OnlineResult replay = replayOnline(inst, inst.profile, actual, opts);
+  EXPECT_TRUE(replay.ran) << replay.error;
+  d.replayCost = replay.actualCost;
+  d.resolves = replay.resolveCount;
+  d.accepted = replay.resolveAccepted;
+  d.replayFinish = replay.finishTime;
+  return d;
+}
+
+TEST(ParallelDeterminism, EightThreadsOnOneUnprimedContextMatchSerial) {
+  InstanceSpec spec;
+  spec.family = WorkflowFamily::Atacseq;
+  spec.targetTasks = 40;
+  spec.scenario = "S1";
+  spec.deadlineFactor = 1.5;
+  spec.numIntervals = 8;
+  const Instance inst = buildInstance(spec);
+  const PowerProfile actual = generateProfile(
+      "S1+noise=0.3,seed=9", instanceProfileRequest(inst));
+
+  const SolveContext serial(inst.gc, inst.profile, inst.deadline);
+  const ContextDigest reference = digestOf(inst, actual, serial);
+  ASSERT_GT(reference.resolves, 0u) << "the replay never re-solved";
+
+  // Every thread starts on the same unprimed context at once, so first
+  // accesses race for every artifact.
+  constexpr std::size_t kThreads = 8;
+  const SolveContext shared(inst.gc, inst.profile, inst.deadline);
+  std::vector<ContextDigest> digests(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      digests[t] = digestOf(inst, actual, shared);
+    });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_TRUE(digests[t] == reference) << "thread " << t << " diverged";
 }
 
 } // namespace

@@ -3,13 +3,24 @@
 // input is rejected with a structured error (never a crash, never an
 // empty `error` code); a cached-context solve returns the bit-identical
 // schedule of a cold solve; backpressure (queue_full) and cooperative
-// timeouts are pinned deterministically via the worker-start hook; and
-// the `list` request returns byte-for-byte the CLI listing text.
+// timeouts are pinned deterministically via the worker-start hook; the
+// `list` request returns byte-for-byte the CLI listing text; and the TCP
+// transport, over a real loopback listener, answers pipelined requests by
+// `id`, sets TCP_NODELAY on accepted sockets, caps newline-free lines and
+// stops with idle clients still connected.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -20,7 +31,9 @@
 #include "serve/listings.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/transport.hpp"
 #include "solver/registry.hpp"
+#include "util/strings.hpp"
 
 namespace cawo {
 namespace {
@@ -385,10 +398,10 @@ TEST(ServeServer, ExpiredDeadlineTimesOutCooperatively) {
       "{\"kind\":\"solve\",\"id\":\"late\",\"tasks\":30,"
       "\"intervals\":8,\"timeout_ms\":1}",
       [&](const std::string& r) {
-        {
-          const std::scoped_lock lock(responseMutex);
-          response = r;
-        }
+        // Notify under the lock, as in submitAndWait: responseCv dies with
+        // this frame, before the server's workers are joined.
+        const std::scoped_lock lock(responseMutex);
+        response = r;
         responseCv.notify_one();
       });
   // Hold the worker well past the 1 ms deadline, then release.
@@ -447,6 +460,192 @@ TEST(ResponseWriter, EnvelopeKeyOrderIsPinned) {
   EXPECT_EQ(err.objectKeys(),
             (std::vector<std::string>{"schema", "id", "kind", "ok", "error",
                                       "message", "result"}));
+}
+
+// ---------------------------------------------------------------------------
+// TCP transport over a real loopback listener
+// ---------------------------------------------------------------------------
+
+/// A blocking loopback client. Receives time out after 30 s, so a server
+/// that never answers fails the test instead of hanging it.
+class LoopbackClient {
+public:
+  explicit LoopbackClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const timeval timeout{30, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~LoopbackClient() { ::close(fd_); }
+
+  LoopbackClient(const LoopbackClient&) = delete;
+  LoopbackClient& operator=(const LoopbackClient&) = delete;
+
+  int fd() const { return fd_; }
+
+  void send(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// The next response line, or "" once the server closed the connection
+  /// (or the receive timed out).
+  std::string readLine() {
+    for (;;) {
+      const std::size_t eol = pending_.find('\n');
+      if (eol != std::string::npos) {
+        std::string line = pending_.substr(0, eol);
+        pending_.erase(0, eol + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return "";
+      pending_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// True when the server has closed its end: recv reports EOF.
+  bool closedByServer() {
+    char c;
+    return pending_.empty() && ::recv(fd_, &c, 1, 0) == 0;
+  }
+
+private:
+  int fd_;
+  std::string pending_;
+};
+
+std::string solveLine(const std::string& id, const std::string& algo) {
+  return "{\"kind\":\"solve\",\"id\":\"" + id +
+         "\",\"family\":\"atacseq\",\"tasks\":30,\"intervals\":8,"
+         "\"deadline_factor\":2.0,\"algo\":\"" + algo + "\"}";
+}
+
+TEST(TcpServeListener, PipelinedRequestsComeBackMatchedById) {
+  ServeOptions options = smallOptions();
+  options.workers = 4; // several solves share the hot entry at once
+  ServeServer server(options);
+  TcpServeListener listener(server, 0);
+  LoopbackClient client(listener.port());
+
+  // id -> the solver (or request kind) its response must carry.
+  std::map<std::string, std::string> expected;
+  std::string batch;
+  const std::vector<std::string> algos = {"ASAP", "pressWR-LS", "slack",
+                                          "pressWR", "slackWR-LS", "press"};
+  for (std::size_t i = 0; i < algos.size(); ++i) {
+    const std::string id = indexedName("p", static_cast<std::int64_t>(i));
+    expected[id] = algos[i];
+    batch += solveLine(id, algos[i]) + "\n";
+  }
+  batch +=
+      "{\"kind\":\"replay\",\"id\":\"r\",\"family\":\"atacseq\","
+      "\"tasks\":30,\"intervals\":8,\"deadline_factor\":2.0,"
+      "\"algo\":\"pressWR\",\"policy\":\"reactive:threshold=0.05\","
+      "\"actual\":\"S2\"}\n";
+  expected["r"] = "pressWR";
+  batch += "{\"kind\":\"list\",\"id\":\"l\"}\n";
+  expected["l"] = "list";
+  client.send(batch); // one write: every request is in flight at once
+
+  std::map<std::string, std::string> got;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::string line = client.readLine();
+    ASSERT_FALSE(line.empty()) << "connection ended after " << i
+                               << " responses";
+    const JsonValue doc = JsonValue::parse(line);
+    ASSERT_TRUE(doc.at("ok").asBool()) << line;
+    const JsonValue& result = doc.at("result");
+    got[doc.at("id").asString()] = doc.at("kind").asString() == "list"
+                                       ? "list"
+                                       : result.at("solver").asString();
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(TcpServeListener, AcceptedSocketSetsTcpNoDelay) {
+  ServeServer server(smallOptions());
+  TcpServeListener listener(server, 0);
+  LoopbackClient client(listener.port());
+  client.send("{\"kind\":\"stats\",\"id\":\"t\"}\n");
+  ASSERT_FALSE(client.readLine().empty()); // the accept has happened
+
+  // The accepted socket lives in this process: it is the fd bound to the
+  // listener's port that also has a peer (the listening fd has none).
+  int accepted = -1;
+  for (int fd = 0; fd < 4096 && accepted < 0; ++fd) {
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != listener.port())
+      continue;
+    sockaddr_in peer{};
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0)
+      accepted = fd;
+  }
+  ASSERT_GE(accepted, 0) << "no accepted socket found";
+
+  const auto noDelay = [](int fd) {
+    int value = -1;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    return value;
+  };
+  EXPECT_NE(noDelay(accepted), 0);
+  EXPECT_EQ(noDelay(client.fd()), 0) << "the client keeps the default";
+}
+
+TEST(TcpServeListener, NewlineFreeLineOverTheCapIsOversizedAndCloses) {
+  ServeOptions options = smallOptions();
+  options.maxRequestBytes = 64;
+  ServeServer server(options);
+  TcpServeListener listener(server, 0);
+
+  LoopbackClient client(listener.port());
+  // A complete line over the cap is answered and the connection lives on.
+  client.send(std::string(100, 'x') + "\n");
+  EXPECT_EQ(JsonValue::parse(client.readLine()).at("error").asString(),
+            "oversized");
+  client.send("{\"kind\":\"stats\",\"id\":\"t\"}\n");
+  EXPECT_EQ(JsonValue::parse(client.readLine()).at("id").asString(), "t");
+
+  // A line that outgrows the cap before its newline ends the connection.
+  client.send(std::string(200, 'x'));
+  const std::string line = client.readLine();
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(JsonValue::parse(line).at("error").asString(), "oversized");
+  EXPECT_TRUE(client.closedByServer());
+
+  // The listener itself keeps serving new connections.
+  LoopbackClient next(listener.port());
+  next.send("{\"kind\":\"stats\",\"id\":\"u\"}\n");
+  EXPECT_EQ(JsonValue::parse(next.readLine()).at("id").asString(), "u");
+}
+
+TEST(TcpServeListener, StopReturnsWithAnIdleClientConnected) {
+  ServeServer server(smallOptions());
+  TcpServeListener listener(server, 0);
+  LoopbackClient client(listener.port());
+  client.send("{\"kind\":\"stats\",\"id\":\"t\"}\n");
+  ASSERT_FALSE(client.readLine().empty());
+
+  listener.stop(); // the client sends nothing more and never disconnects
+  EXPECT_TRUE(client.closedByServer());
+  listener.stop(); // idempotent
 }
 
 } // namespace

@@ -69,8 +69,8 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
   constexpr std::size_t kJobs = 400;
   const SmallInstance inst = smallInstance(1234);
 
-  // Serve keeps one primed context per instance and only lets solves read
-  // it; mirror that exactly — prime, freeze, fan out.
+  // Serve keeps one context per instance and lets concurrent solves share
+  // it; mirror that — prime, then fan out.
   const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
   (void)ctx.initialEst();
   (void)ctx.initialLst();
@@ -101,7 +101,6 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
     if (rng.uniformInt(0, 3) == 0) toCancel.push_back(i);
 
   {
-    const SolveContextFreezeGuard freeze(ctx);
     WorkerPool pool(4, 8); // tiny queue: admission backpressure is exercised
 
     // The "deadline reaper": flips cancel flags while solves are in
@@ -165,16 +164,13 @@ TEST(WorkerPoolStress, MidRunStopDrainsAdmittedJobs) {
   std::atomic<std::size_t> ran{0};
   std::size_t admitted = 0;
   WorkerPool pool(3, 16);
-  {
-    const SolveContextFreezeGuard freeze(ctx);
-    for (std::size_t i = 0; i < 100; ++i)
-      if (pool.trySubmit([&] {
-            (void)runVariant(ctx, spec);
-            ran.fetch_add(1);
-          }))
-        ++admitted;
-    pool.stop(); // finishes every admitted job, then joins
-  }
+  for (std::size_t i = 0; i < 100; ++i)
+    if (pool.trySubmit([&] {
+          (void)runVariant(ctx, spec);
+          ran.fetch_add(1);
+        }))
+      ++admitted;
+  pool.stop(); // finishes every admitted job, then joins
   EXPECT_EQ(ran.load(), admitted);
   EXPECT_GT(admitted, 0u);
   // A stopped pool admits nothing and drops the job on the floor.
