@@ -10,6 +10,7 @@
 
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
+#include "core/cawosched.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {

@@ -120,12 +120,6 @@ inline CampaignOutcome runBenchCampaign(const CampaignSpec& spec,
   return outcome;
 }
 
-/// Compatibility shim for the figure binaries that only need the
-/// suite-style per-instance results.
-inline std::vector<InstanceResult> runBenchGrid(const BenchConfig& cfg) {
-  return runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg).results;
-}
-
 /// Median cost ratio vs ASAP (index 0) for every CaWoSched variant.
 inline void printMedianRatios(std::ostream& out, const CostMatrix& m,
                               const std::string& title) {
@@ -138,16 +132,6 @@ inline void printMedianRatios(std::ostream& out, const CostMatrix& m,
     values.push_back(medianOf(ratios));
   }
   printBarChart(out, title, labels, values);
-}
-
-/// Filter suite results by a predicate on the spec.
-template <typename Pred>
-std::vector<InstanceResult> filterResults(
-    const std::vector<InstanceResult>& results, Pred pred) {
-  std::vector<InstanceResult> out;
-  for (const InstanceResult& r : results)
-    if (pred(r.spec)) out.push_back(r);
-  return out;
 }
 
 } // namespace cawo::bench

@@ -12,9 +12,11 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
+#include "core/solve_context.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "sim/table.hpp"
+#include "solver/registry.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
@@ -37,18 +39,31 @@ int main(int argc, char** argv) {
             << inst.deadline << " = " << spec.deadlineFactor
             << "×ASAP makespan, 24 'hourly' solar intervals\n\n";
 
-  const InstanceResult result = runAllOnInstance(inst);
-  std::vector<std::size_t> order(result.runs.size());
+  // Every suite solver on one shared per-instance context.
+  struct Run {
+    std::string algorithm;
+    Cost cost = 0;
+    double millis = 0.0;
+  };
+  const SolveContext context(inst.gc, inst.profile, inst.deadline);
+  const SolveRequest request = solveRequestFor(inst, context);
+  std::vector<Run> runs;
+  for (const std::string& name : suiteSolverNames()) {
+    const SolveResult solved =
+        SolverRegistry::global().create(name)->solve(request);
+    runs.push_back({name, solved.cost, solved.wallMs});
+  }
+  std::vector<std::size_t> order(runs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return result.runs[a].cost < result.runs[b].cost;
+    return runs[a].cost < runs[b].cost;
   });
 
   TextTable table({"rank", "algorithm", "carbon cost", "vs ASAP", "ms"});
-  const Cost asapCost = result.runs[0].cost;
+  const Cost asapCost = runs[0].cost;
   int rank = 1;
   for (const std::size_t i : order) {
-    const auto& run = result.runs[i];
+    const Run& run = runs[i];
     const std::string ratio =
         asapCost == 0 ? "-" : formatFixed(static_cast<double>(run.cost) /
                                               static_cast<double>(asapCost),
@@ -62,9 +77,9 @@ int main(int argc, char** argv) {
   // Hourly brown-power histograms: where does each schedule pollute?
   const Schedule asap = scheduleAsap(inst.gc);
   const VariantSpec bestSpec =
-      VariantSpec::parse(result.runs[order[0]].algorithm == "ASAP"
+      VariantSpec::parse(runs[order[0]].algorithm == "ASAP"
                              ? "pressWR-LS"
-                             : result.runs[order[0]].algorithm);
+                             : runs[order[0]].algorithm);
   const Schedule best =
       runVariant(inst.gc, inst.profile, inst.deadline, bestSpec);
 

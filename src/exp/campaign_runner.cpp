@@ -20,13 +20,13 @@
 #include "obs/trace.hpp"
 #include "online/replay.hpp"
 #include "profile/profile_source.hpp"
-#include "util/timer.hpp"
-#include "sim/stats.hpp"
+#include "sim/runner.hpp"
 #include "sim/table.hpp"
 #include "solver/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
+#include "util/timer.hpp"
 
 namespace cawo {
 
@@ -82,31 +82,33 @@ void assignBaselineRatios(CampaignRecord* records, std::size_t count) {
   }
 }
 
-/// Solve every selected solver on one built instance and fill both the
-/// suite-compatible InstanceResult and the campaign records. The solve
-/// path mirrors runSolversOnInstance exactly (same SolveRequest fields,
-/// same skip rule), so campaign costs match the suite runner bit for bit.
+/// The instance-level fields every cell record of one instance shares.
+void fillRecordHeader(CampaignRecord& record, const Instance& instance,
+                      std::uint64_t hash, Cost lowerBound,
+                      const std::string& solver) {
+  record.spec = instance.spec;
+  record.instance = instance.spec.label();
+  record.deadline = instance.deadline;
+  record.asapMakespanD = instance.asapMakespanD;
+  record.numNodes = instance.gc.numNodes();
+  record.instanceHash = hash;
+  record.lowerBound = lowerBound;
+  record.solver = solver;
+  record.ratioVsBaseline = quietNaN();
+}
+
+/// Solve every selected solver on one built instance into its campaign
+/// records. Solvers that do not fit the instance yield skipped records.
 void runInstanceCell(const Instance& instance,
                      const std::vector<std::string>& solvers,
-                     const SolverOptions& options, InstanceResult& result,
-                     CampaignRecord* records) {
+                     const SolverOptions& options, CampaignRecord* records) {
   CAWO_REQUIRE(!solvers.empty(), "campaign has no solvers selected");
-  result.spec = instance.spec;
-  result.deadline = instance.deadline;
-  result.numNodes = instance.gc.numNodes();
-  result.runs.reserve(solvers.size());
 
-  // One shared context per instance, exactly like the suite runner.
+  // One shared context per instance: every selected solver reuses the
+  // memoized windows, score orders and refined interval sets.
   const SolveContext context(instance.gc, instance.profile,
                              instance.deadline);
-
-  SolveRequest request;
-  request.gc = &instance.gc;
-  request.profile = &instance.profile;
-  request.deadline = instance.deadline;
-  request.graph = &instance.graph;
-  request.platform = &instance.platform;
-  request.context = &context;
+  SolveRequest request = solveRequestFor(instance, context);
   request.options = options;
 
   const Cost lowerBound = carbonLowerBound(instance.gc, instance.profile);
@@ -116,15 +118,7 @@ void runInstanceCell(const Instance& instance,
   const SolverRegistry& registry = SolverRegistry::global();
   for (std::size_t s = 0; s < solvers.size(); ++s) {
     CampaignRecord& record = records[s];
-    record.spec = instance.spec;
-    record.instance = instance.spec.label();
-    record.deadline = instance.deadline;
-    record.asapMakespanD = instance.asapMakespanD;
-    record.numNodes = instance.gc.numNodes();
-    record.instanceHash = hash;
-    record.lowerBound = lowerBound;
-    record.solver = solvers[s];
-    record.ratioVsBaseline = quietNaN();
+    fillRecordHeader(record, instance, hash, lowerBound, solvers[s]);
 
     const SolverPtr solver = registry.create(solvers[s]);
     if (!solverFitsInstance(solver->info(), instance)) {
@@ -142,8 +136,6 @@ void runInstanceCell(const Instance& instance,
     record.feasible = solved.feasible;
     record.provedOptimal = solved.provedOptimal;
     harvestPhaseStats(solved.stats, record);
-    result.runs.push_back(
-        {solvers[s], solved.cost, solved.wallMs, solved.provedOptimal});
   }
 
   // Ratios against the baseline — the first selected solver
@@ -159,12 +151,9 @@ void runOnlineInstanceCell(const Instance& instance,
                            const std::vector<std::string>& solvers,
                            const CampaignSpec& spec,
                            const SolverOptions& options,
-                           InstanceResult& result, CampaignRecord* records) {
+                           CampaignRecord* records) {
   CAWO_REQUIRE(!solvers.empty(), "campaign has no solvers selected");
   CAWO_REQUIRE(!spec.policies.empty(), "online campaign has no policies");
-  result.spec = instance.spec;
-  result.deadline = instance.deadline;
-  result.numNodes = instance.gc.numNodes();
 
   // Forecast/actual resolution, once per instance (see docs/formats.md,
   // "Forecast vs actual").
@@ -212,15 +201,7 @@ void runOnlineInstanceCell(const Instance& instance,
 
     for (std::size_t p = 0; p < P; ++p) {
       CampaignRecord& record = records[s * P + p];
-      record.spec = instance.spec;
-      record.instance = instance.spec.label();
-      record.deadline = instance.deadline;
-      record.asapMakespanD = instance.asapMakespanD;
-      record.numNodes = instance.gc.numNodes();
-      record.instanceHash = hash;
-      record.lowerBound = lowerBound;
-      record.solver = solvers[s];
-      record.ratioVsBaseline = quietNaN();
+      fillRecordHeader(record, instance, hash, lowerBound, solvers[s]);
       record.hasOnline = true;
       record.policy = spec.policies[p];
       record.actualScenario = spec.actual;
@@ -245,8 +226,6 @@ void runOnlineInstanceCell(const Instance& instance,
       record.clairvoyantCost = online.clairvoyantCost;
       record.regret = online.regret;
       record.regretRatio = online.regretRatio;
-      result.runs.push_back({solvers[s] + " @ " + spec.policies[p],
-                             record.cost, record.wallMs, false});
     }
   }
   assignBaselineRatios(records, solvers.size() * P);
@@ -272,7 +251,7 @@ void requireConsistentOnlineSpec(const CampaignSpec& spec) {
 void solveInstanceCells(const InstanceSpec& cell, const CampaignSpec& spec,
                         const std::vector<std::string>& solverNames,
                         const std::vector<std::string>& cellLabels,
-                        const SolverOptions& options, InstanceResult& result,
+                        const SolverOptions& options,
                         CampaignRecord* records) {
   obs::TraceScope span("campaign.instance");
   if (span.recording()) span.arg("instance", cell.label());
@@ -281,10 +260,9 @@ void solveInstanceCells(const InstanceSpec& cell, const CampaignSpec& spec,
     return buildInstance(cell);
   }();
   if (spec.online) {
-    runOnlineInstanceCell(instance, solverNames, spec, options, result,
-                          records);
+    runOnlineInstanceCell(instance, solverNames, spec, options, records);
   } else {
-    runInstanceCell(instance, cellLabels, options, result, records);
+    runInstanceCell(instance, cellLabels, options, records);
   }
 }
 
@@ -325,19 +303,19 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
   const std::vector<InstanceSpec> instances = expandCampaign(spec);
   const std::size_t S = outcome.solvers.size();
   const std::size_t totalCells = instances.size() * S;
-  outcome.results.resize(instances.size());
+  outcome.numInstances = instances.size();
   outcome.records.resize(totalCells);
 
-  // The legacy in-memory path is now "runner → MemoryRecordSink": workers
-  // solve into a local cell group and hand it over, exactly like the
-  // store-backed path hands groups to CampaignStoreWriter.
+  // The in-memory path is "runner → MemoryRecordSink": workers solve into
+  // a local cell group and hand it over, exactly like the store-backed
+  // path hands groups to CampaignStoreWriter.
   MemoryRecordSink sink(outcome.records, S);
   std::atomic<std::size_t> done{0};
   parallelFor(instances.size(), spec.threads, [&](std::size_t i) {
     if (obs::traceRecording()) obs::traceSetThreadName("campaign-worker");
     std::vector<CampaignRecord> group(S);
     solveInstanceCells(instances[i], spec, solverNames, outcome.solvers,
-                       options, outcome.results[i], group.data());
+                       options, group.data());
     sink.appendInstance(i, group.data(), S);
     if (progress) progress(done.fetch_add(S) + S, totalCells);
   });
@@ -347,6 +325,45 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
     accumulator.addInstance(outcome.records.data() + i * S, S);
   outcome.summaries = accumulator.finish();
   return outcome;
+}
+
+CostMatrix toCostMatrix(
+    const CampaignOutcome& outcome,
+    const std::function<bool(const InstanceSpec&)>& keep) {
+  const std::size_t S = outcome.solvers.size();
+  CAWO_REQUIRE(outcome.records.size() == outcome.numInstances * S,
+               "campaign outcome carries no per-cell records");
+  std::vector<const CampaignRecord*> rows; // first cell of each kept instance
+  for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+    const CampaignRecord* row = outcome.records.data() + i * S;
+    if (!keep || keep(row->spec)) rows.push_back(row);
+  }
+
+  CostMatrix m;
+  if (rows.empty()) return m;
+  std::vector<std::size_t> columns;
+  for (std::size_t s = 0; s < S; ++s) {
+    std::size_t skipped = 0;
+    for (const CampaignRecord* row : rows) skipped += row[s].skipped ? 1 : 0;
+    if (skipped == rows.size()) continue;
+    CAWO_REQUIRE(skipped == 0, "inconsistent algorithm sets across "
+                               "instances: " + outcome.solvers[s] +
+                                   " was skipped on only some of them");
+    columns.push_back(s);
+    m.algorithms.push_back(outcome.solvers[s]);
+  }
+  for (const CampaignRecord* row : rows) {
+    std::vector<Cost> costs;
+    costs.reserve(columns.size());
+    for (const std::size_t s : columns) {
+      CAWO_ASSERT(row[s].feasible, "solver " + row[s].solver +
+                                       " produced an invalid schedule on " +
+                                       row[s].instance);
+      costs.push_back(row[s].cost);
+    }
+    m.costs.push_back(std::move(costs));
+  }
+  return m;
 }
 
 CampaignRunStats runCampaignToStore(const SolverOptions& options,
@@ -390,9 +407,8 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
     for (std::size_t c = 0; c < S; ++c)
       if (!store.cellPresent(i, c)) ++missing;
     std::vector<CampaignRecord> group(S);
-    InstanceResult result; // the store path keeps no per-instance results
     solveInstanceCells(instances[i], spec, solverNames, cellLabels, options,
-                       result, group.data());
+                       group.data());
     store.appendInstance(i, group.data(), S);
     appended.fetch_add(missing);
     if (progress) progress(done.fetch_add(S) + S, cellsToDo);
@@ -512,7 +528,7 @@ void writeCampaignJson(std::ostream& out, const CampaignOutcome& outcome) {
   w.beginObject();
   w.key("schema").value(kSchemaId);
   writeCampaignHeader(w, outcome.spec, outcome.solvers,
-                      outcome.results.size());
+                      outcome.numInstances);
 
   w.key("records");
   w.beginArray();
@@ -609,7 +625,7 @@ CampaignOutcome summariseStore(CampaignStoreReader& reader) {
   outcome.solvers = reader.cellLabels();
   if (outcome.spec.online) outcome.policies = outcome.spec.policies;
   outcome.scenarios = campaignDistinctScenarios(outcome.spec);
-  outcome.results.resize(reader.numInstances()); // sizes only; no records
+  outcome.numInstances = reader.numInstances();
 
   SummaryAccumulator accumulator(outcome.solvers, outcome.scenarios);
   const std::size_t S = reader.stride();
@@ -630,7 +646,7 @@ void printCampaignSummary(std::ostream& out, const CampaignOutcome& outcome,
   };
 
   printHeading(out, "campaign \"" + outcome.spec.name + "\" — " +
-                        std::to_string(outcome.results.size()) +
+                        std::to_string(outcome.numInstances) +
                         " instances × " +
                         std::to_string(outcome.solvers.size()) + " solvers");
   TextTable table({"solver", "instances", "wins", "median ratio",

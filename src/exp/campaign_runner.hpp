@@ -7,21 +7,22 @@
 
 #include "exp/campaign.hpp"
 #include "exp/record.hpp"
-#include "sim/runner.hpp"
+#include "sim/stats.hpp"
 #include "solver/solver.hpp"
 
 /// \file campaign_runner.hpp
 /// Executes a `CampaignSpec` and emits machine-readable results (see
-/// docs/formats.md, "Campaign result JSON").
+/// docs/formats.md, "Campaign result JSON"). This is the repository's one
+/// experiment runner: the CLI, the figure binaries and the examples all run
+/// their instance grids through it.
 ///
 /// The runner expands the campaign's cross-product into instances, builds
 /// and solves them with `parallelFor` sharding over *instances* (each shard
-/// runs the full solver selection on its instance, exactly like the suite
-/// runner, so campaign costs match `runAllOnInstance` bit for bit), and
-/// hands each finished instance's cell group to a `RecordSink`
-/// (exp/record_sink.hpp):
-///   * `runCampaign` feeds a `MemoryRecordSink` — the legacy batch-in-RAM
-///     path producing a `CampaignOutcome` with every record;
+/// runs the full solver selection on its instance against one shared
+/// `SolveContext`), and hands each finished instance's cell group to a
+/// `RecordSink` (exp/record_sink.hpp):
+///   * `runCampaign` feeds a `MemoryRecordSink` — the batch-in-RAM path
+///     producing a `CampaignOutcome` with every record;
 ///   * `runCampaignToStore` feeds a `CampaignStoreWriter` (exp/store.hpp)
 ///     — the streaming out-of-core path for production-scale sweeps, with
 ///     resume (only missing cells are solved) and multi-process sharding.
@@ -45,8 +46,10 @@ struct CampaignOutcome {
   /// Distinct scenario specs: the paper's S1..S4 first (canonical order),
   /// then any other specs in first-appearance order.
   std::vector<std::string> scenarios;
-  std::vector<InstanceResult> results; ///< per instance, suite-compatible
-  std::vector<CampaignRecord> records; ///< |instances| × |solvers| cells
+  std::size_t numInstances = 0; ///< expanded instances of the campaign
+  /// numInstances × |solvers| cells, instance-major (empty in a store
+  /// summary, see summariseStore).
+  std::vector<CampaignRecord> records;
   std::vector<SolverSummary> summaries;
 };
 
@@ -67,6 +70,17 @@ std::vector<std::string> campaignDistinctScenarios(const CampaignSpec& spec);
 CampaignOutcome runCampaign(const CampaignSpec& spec,
                             const SolverOptions& options = {},
                             const CampaignProgress& progress = {});
+
+/// The instance × solver cost matrix of an offline outcome — the input of
+/// the figure statistics (sim/stats.hpp) — over the instances whose spec
+/// passes `keep` (every instance by default; no kept instance gives an
+/// empty matrix). A solver skipped on every kept instance is left out; one
+/// skipped on only some of them throws PreconditionError, since its column
+/// would be ragged. A cell that ran but is infeasible throws InvariantError:
+/// every produced schedule must validate.
+CostMatrix toCostMatrix(
+    const CampaignOutcome& outcome,
+    const std::function<bool(const InstanceSpec&)>& keep = {});
 
 /// Per-run counters of a store-backed campaign run: how much work the
 /// shard owned, how much was already durable (resume), how much this run

@@ -63,13 +63,7 @@ ReplayEngine::ReplayEngine(const Instance& instance,
   }
   const SolveResult solved = [&] {
     if (options.precomputedPlan != nullptr) return *options.precomputedPlan;
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &forecast;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = ctx_;
+    SolveRequest request = solveRequestFor(instance, *ctx_);
     request.options = options.solverOptions;
     return planner->solve(request);
   }();
@@ -429,13 +423,7 @@ OnlineResult replayOnline(const Instance& instance,
   try {
     const SolverRegistry& registry = SolverRegistry::global();
     SolveContext ctx(instance.gc, actual, instance.deadline);
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &actual;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = &ctx;
+    SolveRequest request = solveRequestFor(instance, ctx);
     request.options = options.solverOptions;
     const SolveResult solved = registry.create(options.solver)->solve(request);
     applyClairvoyantReference(result, solved.feasible, solved.cost);
@@ -490,13 +478,7 @@ std::vector<OnlineResult> replayOnlinePolicies(
   bool planSolved = false;
   std::string planError;
   try {
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &forecast;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = &*ctx;
+    SolveRequest request = solveRequestFor(instance, *ctx);
     request.options = options.solverOptions;
     plan = SolverRegistry::global().create(options.solver)->solve(request);
     planSolved = true;

@@ -296,13 +296,8 @@ void ServeServer::runSolveJob(const ServeRequest& request,
 
   // The cached SolveContext synchronizes itself, so solves on one hot
   // entry run concurrently.
-  SolveRequest solveRequest;
-  solveRequest.gc = &entry->instance.gc;
-  solveRequest.profile = &entry->instance.profile;
-  solveRequest.deadline = entry->instance.deadline;
-  solveRequest.graph = &entry->instance.graph;
-  solveRequest.platform = &entry->instance.platform;
-  solveRequest.context = &entry->context;
+  SolveRequest solveRequest =
+      solveRequestFor(entry->instance, entry->context);
   solveRequest.options = mergedOptions(request.options);
   SolveResult result;
   try {

@@ -6,7 +6,9 @@
 
 #include "core/asap.hpp"
 #include "core/instance_hash.hpp"
+#include "core/solve_context.hpp"
 #include "heft/heft.hpp"
+#include "solver/solver.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
 
@@ -108,6 +110,18 @@ Instance buildInstance(const InstanceSpec& spec) {
 
 ProfileRequest instanceProfileRequest(const Instance& instance) {
   return detailProfileRequest(instance.spec, instance.gc, instance.deadline);
+}
+
+SolveRequest solveRequestFor(const Instance& instance,
+                             const SolveContext& context) {
+  SolveRequest request;
+  request.gc = &context.gc();
+  request.profile = &context.profile();
+  request.deadline = context.deadline();
+  request.graph = &instance.graph;
+  request.platform = &instance.platform;
+  request.context = &context;
+  return request;
 }
 
 } // namespace cawo

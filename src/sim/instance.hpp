@@ -19,6 +19,9 @@
 
 namespace cawo {
 
+class SolveContext;
+struct SolveRequest;
+
 struct InstanceSpec {
   WorkflowFamily family = WorkflowFamily::Atacseq;
   int targetTasks = 200;
@@ -75,5 +78,13 @@ Instance buildInstance(const InstanceSpec& spec);
 /// forecast/actual pair of the instance's own spec — through this request
 /// so they are bit-identical to what a fresh build would generate.
 ProfileRequest instanceProfileRequest(const Instance& instance);
+
+/// The solve request for a built instance under `context`: `gc`, `profile`
+/// and `deadline` come from the context (a replay's forecast context plans
+/// against the forecast), `graph` and `platform` from the instance. The
+/// options bag is left empty. `Solver::solve` rejects a context that does
+/// not describe the request.
+SolveRequest solveRequestFor(const Instance& instance,
+                             const SolveContext& context);
 
 } // namespace cawo

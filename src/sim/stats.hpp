@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner.hpp"
 #include "util/types.hpp"
 
 /// \file stats.hpp
@@ -14,7 +13,8 @@
 
 namespace cawo {
 
-/// costs[i][a] = carbon cost of algorithm a on instance i.
+/// costs[i][a] = carbon cost of algorithm a on instance i (assembled from a
+/// campaign outcome by `toCostMatrix`, exp/campaign_runner.hpp).
 struct CostMatrix {
   std::vector<std::string> algorithms;
   std::vector<std::vector<Cost>> costs;
@@ -22,9 +22,6 @@ struct CostMatrix {
   std::size_t numInstances() const { return costs.size(); }
   std::size_t numAlgorithms() const { return algorithms.size(); }
 };
-
-/// Assemble the matrix from suite results (algorithms in run order).
-CostMatrix toCostMatrix(const std::vector<InstanceResult>& results);
 
 /// Competition ranking ("1224"): on each instance an algorithm's rank is
 /// 1 + (number of algorithms with strictly smaller cost). Returns

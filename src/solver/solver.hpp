@@ -118,10 +118,10 @@ struct SolveRequest {
   /// Optional shared per-instance memoization (initial EST/LST windows,
   /// refined interval sets, score orders, ASAP makespan). When set it must
   /// describe exactly this request's (gc, profile, deadline) — enforced by
-  /// `Solver::solve`. Suite and campaign runners create one context per
-  /// instance so every selected solver reuses the same artifacts; solvers
-  /// without a context compute (or build) what they need themselves, with
-  /// identical results either way.
+  /// `Solver::solve`. The campaign runner creates one context per instance
+  /// (`solveRequestFor`) so every selected solver reuses the same artifacts;
+  /// solvers without a context compute (or build) what they need
+  /// themselves, with identical results either way.
   const SolveContext* context = nullptr;
 
   /// Optional residual problem: when set, the solver must keep every

@@ -1,4 +1,4 @@
-#include "core/power_timeline_map.hpp"
+#include "power_timeline_map.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "exact/three_partition.hpp"
+#include "three_partition.hpp"
 
 #include <numeric>
 

@@ -6,7 +6,7 @@
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
 #include "exact/branch_and_bound.hpp"
-#include "exact/three_partition.hpp"
+#include "support/three_partition.hpp"
 #include "test_util.hpp"
 
 namespace cawo {

@@ -1,16 +1,34 @@
 // Cross-module integration tests: the full paper pipeline at small scale,
-// including the suite runner and the statistics used by the figures.
+// including the campaign runner and the statistics used by the figures.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
+#include "core/solve_context.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats.hpp"
+#include "solver/registry.hpp"
+#include "support/single_cell_campaign.hpp"
 
 namespace cawo {
 namespace {
+
+/// Costs of the paper's suite (ASAP + 16 variants) solved directly on one
+/// built instance.
+std::vector<Cost> suiteCosts(const Instance& inst) {
+  const SolveContext context(inst.gc, inst.profile, inst.deadline);
+  const SolveRequest request = solveRequestFor(inst, context);
+  std::vector<Cost> costs;
+  for (const std::string& name : suiteSolverNames())
+    costs.push_back(
+        SolverRegistry::global().create(name)->solve(request).cost);
+  return costs;
+}
 
 TEST(Integration, InstanceBuildIsFullyDeterministic) {
   InstanceSpec spec;
@@ -28,10 +46,7 @@ TEST(Integration, InstanceBuildIsFullyDeterministic) {
   ASSERT_EQ(a.profile.numIntervals(), b.profile.numIntervals());
   for (std::size_t j = 0; j < a.profile.numIntervals(); ++j)
     EXPECT_EQ(a.profile.interval(j).green, b.profile.interval(j).green);
-  const InstanceResult ra = runAllOnInstance(a);
-  const InstanceResult rb = runAllOnInstance(b);
-  for (std::size_t i = 0; i < ra.runs.size(); ++i)
-    EXPECT_EQ(ra.runs[i].cost, rb.runs[i].cost) << ra.runs[i].algorithm;
+  EXPECT_EQ(suiteCosts(a), suiteCosts(b));
 }
 
 TEST(Integration, DeadlineEqualsFactorTimesAsapMakespan) {
@@ -51,30 +66,12 @@ TEST(Integration, TightDeadlineStillYieldsValidSchedules) {
   spec.nodesPerType = 1;
   spec.deadlineFactor = 1.0; // D itself — zero slack on the critical path
   spec.seed = 9;
-  const Instance inst = buildInstance(spec);
-  const InstanceResult result = runAllOnInstance(inst);
-  // The runner validates every schedule internally; reaching here with 17
-  // results is the assertion.
-  EXPECT_EQ(result.runs.size(), 17u);
-}
-
-TEST(Integration, RunSuiteMatchesSequentialExecution) {
-  std::vector<InstanceSpec> specs;
-  for (const char* scenario : {"S1", "S2"}) {
-    InstanceSpec spec;
-    spec.targetTasks = 40;
-    spec.nodesPerType = 1;
-    spec.scenario = scenario;
-    spec.deadlineFactor = 2.0;
-    spec.seed = 31;
-    specs.push_back(spec);
+  const CampaignOutcome outcome = runCampaign(singleCellCampaign(spec));
+  ASSERT_EQ(outcome.records.size(), 17u);
+  for (const CampaignRecord& record : outcome.records) {
+    EXPECT_FALSE(record.skipped) << record.solver;
+    EXPECT_TRUE(record.feasible) << record.solver;
   }
-  const auto parallel = runSuite(specs, {}, 2);
-  const auto serial = runSuite(specs, {}, 1);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i)
-    for (std::size_t a = 0; a < parallel[i].runs.size(); ++a)
-      EXPECT_EQ(parallel[i].runs[a].cost, serial[i].runs[a].cost);
 }
 
 TEST(Integration, FullGridHasSixteenProfiles) {
@@ -82,10 +79,13 @@ TEST(Integration, FullGridHasSixteenProfiles) {
   EXPECT_EQ(specs.size(), 16u); // 4 scenarios × 4 deadline factors
 }
 
-TEST(Integration, StatsPipelineRunsOnSuiteResults) {
-  const auto specs = fullGrid(WorkflowFamily::Bacass, 30, 1, 13);
-  const auto results = runSuite(specs);
-  const CostMatrix m = toCostMatrix(results);
+TEST(Integration, StatsPipelineRunsOnCampaignOutcome) {
+  CampaignSpec campaign;
+  campaign.families = {WorkflowFamily::Bacass};
+  campaign.tasks = {30};
+  campaign.nodesPerType = {1};
+  campaign.seeds = {13};
+  const CostMatrix m = toCostMatrix(runCampaign(campaign));
   EXPECT_EQ(m.numInstances(), 16u);
   EXPECT_EQ(m.numAlgorithms(), 17u);
 
@@ -105,24 +105,20 @@ TEST(Integration, CarbonAwareVariantsHelpOnLateGreenProfiles) {
   // Shape check behind Figures 4/15: with green power arriving late (S3 has
   // its bump after the start; S1 mid-horizon) and a generous deadline, the
   // best CaWoSched variant should beat ASAP on most instances.
-  std::vector<InstanceSpec> specs;
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    InstanceSpec spec;
-    spec.family = WorkflowFamily::Atacseq;
-    spec.targetTasks = 60;
-    spec.nodesPerType = 1;
-    spec.scenario = "S1";
-    spec.deadlineFactor = 3.0;
-    spec.seed = seed;
-    specs.push_back(spec);
-  }
-  const auto results = runSuite(specs);
+  InstanceSpec spec;
+  spec.family = WorkflowFamily::Atacseq;
+  spec.targetTasks = 60;
+  spec.nodesPerType = 1;
+  spec.scenario = "S1";
+  spec.deadlineFactor = 3.0;
+  CampaignSpec campaign = singleCellCampaign(spec);
+  campaign.seeds = {1, 2, 3};
+  const CostMatrix m = toCostMatrix(runCampaign(campaign));
+  ASSERT_EQ(m.numInstances(), 3u);
   int wins = 0;
-  for (const auto& r : results) {
-    const Cost asap = r.runs[0].cost;
-    Cost best = asap;
-    for (std::size_t a = 1; a < r.runs.size(); ++a)
-      best = std::min(best, r.runs[a].cost);
+  for (const std::vector<Cost>& row : m.costs) {
+    const Cost asap = row[0];
+    const Cost best = *std::min_element(row.begin(), row.end());
     if (best < asap || asap == 0) ++wins;
   }
   EXPECT_GE(wins, 2) << "carbon-aware variants should usually beat ASAP";

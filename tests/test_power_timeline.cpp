@@ -4,7 +4,7 @@
 
 #include "core/carbon_cost.hpp"
 #include "core/power_timeline.hpp"
-#include "core/power_timeline_map.hpp"
+#include "support/power_timeline_map.hpp"
 #include "test_util.hpp"
 
 namespace cawo {

@@ -7,8 +7,10 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
+#include "core/solve_context.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
+#include "solver/registry.hpp"
 
 namespace cawo {
 namespace {
@@ -26,10 +28,15 @@ TEST(Smoke, EndToEndSmallInstance) {
   EXPECT_GT(inst.gc.numNodes(), inst.graph.numTasks());
   EXPECT_GE(inst.deadline, inst.asapMakespanD);
 
-  const InstanceResult result = runAllOnInstance(inst);
-  ASSERT_EQ(result.runs.size(), 17u); // ASAP + 16 variants
-  for (const AlgoRun& run : result.runs) {
-    EXPECT_GE(run.cost, 0) << run.algorithm;
+  const SolveContext context(inst.gc, inst.profile, inst.deadline);
+  const SolveRequest request = solveRequestFor(inst, context);
+  const std::vector<std::string> suite = suiteSolverNames();
+  ASSERT_EQ(suite.size(), 17u); // ASAP + 16 variants
+  for (const std::string& name : suite) {
+    const SolveResult solved =
+        SolverRegistry::global().create(name)->solve(request);
+    EXPECT_TRUE(solved.feasible) << name;
+    EXPECT_GE(solved.cost, 0) << name;
   }
 }
 

@@ -1,7 +1,7 @@
 // The unified Solver API and registry: canonical listing, lookup
 // round-trips, bracket parameters, glob selection, per-family solve
-// behaviour, and golden parity between the registry-driven runner and the
-// legacy string dispatch (scheduleAsap + runVariant).
+// behaviour, and golden parity between the campaign runner and the legacy
+// string dispatch (scheduleAsap + runVariant).
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,11 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
+#include "support/single_cell_campaign.hpp"
 #include "test_util.hpp"
 #include "util/require.hpp"
 
@@ -217,9 +219,9 @@ TEST(SolverApi, OptionsBagTypedAccessors) {
   EXPECT_THROW((void)options.getDouble("name", 0.0), PreconditionError);
 }
 
-// Golden parity: the registry-driven runner must reproduce the legacy
+// Golden parity: the campaign runner must reproduce the legacy
 // string-dispatch costs bit-for-bit on a fixed-seed instance.
-TEST(SolverApi, RegistryRunnerMatchesLegacyDispatch) {
+TEST(SolverApi, CampaignRunnerMatchesLegacyDispatch) {
   const Instance inst = buildInstance(smallSpec());
   const CaWoParams params; // paper defaults
 
@@ -233,13 +235,14 @@ TEST(SolverApi, RegistryRunnerMatchesLegacyDispatch) {
     legacy.emplace_back(v.name(), evaluateCost(inst.gc, inst.profile, s));
   }
 
-  // Registry path.
-  const InstanceResult result = runAllOnInstance(inst, params);
-  ASSERT_EQ(result.runs.size(), legacy.size());
-  ASSERT_EQ(result.runs.size(), algorithmNames().size());
+  // Registry path, through the campaign runner.
+  const CampaignOutcome outcome = runCampaign(singleCellCampaign(smallSpec()));
+  ASSERT_EQ(outcome.records.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(result.runs[i].algorithm, legacy[i].first);
-    EXPECT_EQ(result.runs[i].cost, legacy[i].second)
+    const CampaignRecord& record = outcome.records[i];
+    EXPECT_EQ(record.solver, legacy[i].first);
+    EXPECT_TRUE(record.feasible) << record.solver;
+    EXPECT_EQ(record.cost, legacy[i].second)
         << legacy[i].first << " diverged from the legacy dispatch";
   }
 }
@@ -261,21 +264,11 @@ TEST(SolverApi, TuningParametersFlowThroughOptionsBag) {
   request.gc = &inst.gc;
   request.profile = &inst.profile;
   request.deadline = inst.deadline;
-  request.options = solverOptionsFrom(params);
+  request.options.setInt("block-size", params.blockSize);
+  request.options.setInt("ls-radius", params.lsRadius);
   const SolveResult viaRegistry =
       SolverRegistry::global().create("pressWR-LS")->solve(request);
   EXPECT_EQ(viaRegistry.cost, legacy);
-}
-
-// Broad selections must stay usable on any instance: capability-
-// mismatched solvers are skipped, not fatal.
-TEST(SolverApi, RunnerSkipsIncompatibleSolvers) {
-  const Instance inst = buildInstance(smallSpec());
-  ASSERT_GT(inst.gc.numProcs(), 1);
-  const InstanceResult result =
-      runSolversOnInstance(inst, {"ASAP", "dp"});
-  ASSERT_EQ(result.runs.size(), 1u);
-  EXPECT_EQ(result.runs[0].algorithm, "ASAP");
 }
 
 // The bracket parameter is part of the solver's identity and wins over
@@ -307,13 +300,13 @@ TEST(SolverApi, BracketAlphaWinsOverOptionsBag) {
 }
 
 TEST(SolverApi, SuiteSelectionRunsThroughRunner) {
-  const Instance inst = buildInstance(smallSpec());
-  const InstanceResult picked = runSolversOnInstance(
-      inst, SolverRegistry::global().select("ASAP,pressWR-LS"));
-  ASSERT_EQ(picked.runs.size(), 2u);
-  EXPECT_EQ(picked.runs[0].algorithm, "ASAP");
-  EXPECT_EQ(picked.runs[1].algorithm, "pressWR-LS");
-  EXPECT_LE(picked.runs[1].cost, picked.runs[0].cost);
+  const CampaignOutcome picked =
+      runCampaign(singleCellCampaign(smallSpec(), "ASAP,pressWR-LS"));
+  ASSERT_EQ(picked.records.size(), 2u);
+  EXPECT_EQ(picked.records[0].solver, "ASAP");
+  EXPECT_EQ(picked.records[1].solver, "pressWR-LS");
+  EXPECT_TRUE(picked.records[1].feasible);
+  EXPECT_LE(picked.records[1].cost, picked.records[0].cost);
 }
 
 } // namespace

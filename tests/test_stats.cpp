@@ -2,6 +2,7 @@
 
 #include "util/require.hpp"
 
+#include "exp/campaign_runner.hpp"
 #include "sim/stats.hpp"
 
 namespace cawo {
@@ -101,17 +102,60 @@ TEST(Stats, BoxStatsSingleValue) {
   EXPECT_TRUE(s.outliers.empty());
 }
 
+// toCostMatrix (exp/campaign_runner.hpp) feeds these statistics from a
+// campaign outcome: 2 instances (seeds 0 and 1) × solvers A, B with costs
+// 1, 2 / 3, 4.
+CampaignOutcome twoByTwoOutcome() {
+  CampaignOutcome outcome;
+  outcome.solvers = {"A", "B"};
+  outcome.numInstances = 2;
+  outcome.records.resize(4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    CampaignRecord& record = outcome.records[c];
+    record.spec.seed = c / 2;
+    record.solver = outcome.solvers[c % 2];
+    record.cost = static_cast<Cost>(c + 1);
+    record.feasible = true;
+  }
+  return outcome;
+}
+
+TEST(Stats, ToCostMatrixReadsCampaignRecords) {
+  const CampaignOutcome outcome = twoByTwoOutcome();
+  const CostMatrix m = toCostMatrix(outcome);
+  EXPECT_EQ(m.algorithms, (std::vector<std::string>{"A", "B"}));
+  ASSERT_EQ(m.numInstances(), 2u);
+  EXPECT_EQ(m.costs[1][0], 3);
+
+  const CostMatrix second = toCostMatrix(
+      outcome, [](const InstanceSpec& s) { return s.seed == 1; });
+  ASSERT_EQ(second.numInstances(), 1u);
+  EXPECT_EQ(second.costs[0][1], 4);
+  EXPECT_EQ(
+      toCostMatrix(outcome, [](const InstanceSpec&) { return false; })
+          .numInstances(),
+      0u);
+}
+
 TEST(Stats, ToCostMatrixChecksConsistency) {
-  InstanceResult r1;
-  r1.runs = {{"A", 1, 0.0}, {"B", 2, 0.0}};
-  InstanceResult r2;
-  r2.runs = {{"A", 3, 0.0}};
-  EXPECT_THROW(toCostMatrix({r1, r2}), PreconditionError);
-  EXPECT_THROW(toCostMatrix({}), PreconditionError);
-  const CostMatrix m = toCostMatrix({r1});
-  EXPECT_EQ(m.numInstances(), 1u);
-  EXPECT_EQ(m.numAlgorithms(), 2u);
-  EXPECT_EQ(m.costs[0][1], 2);
+  CampaignOutcome outcome = twoByTwoOutcome();
+  // Skipped on every instance: the solver is left out.
+  outcome.records[1].skipped = true;
+  outcome.records[3].skipped = true;
+  EXPECT_EQ(toCostMatrix(outcome).algorithms,
+            (std::vector<std::string>{"A"}));
+  // Skipped on only some instances: the column would be ragged.
+  outcome.records[3].skipped = false;
+  EXPECT_THROW(toCostMatrix(outcome), PreconditionError);
+
+  // A cell that ran but produced an invalid schedule is a library bug.
+  outcome = twoByTwoOutcome();
+  outcome.records[2].feasible = false;
+  EXPECT_THROW(toCostMatrix(outcome), InvariantError);
+
+  // A record-free outcome (a store summary) has no matrix.
+  outcome.records.clear();
+  EXPECT_THROW(toCostMatrix(outcome), PreconditionError);
 }
 
 } // namespace

@@ -50,9 +50,6 @@
 // --store the records stream into a sharded, resumable on-disk result
 // store instead of RAM (see docs/formats.md, "Campaign result store");
 // the query subcommand filters and summarises such a store.
-//
-// Legacy spellings are still accepted: --variant=<name> equals
-// --algo=<name>, and --green-heft equals --algo=greenheft.
 
 #include <algorithm>
 #include <chrono>
@@ -433,7 +430,7 @@ int runQueryCommand(int argc, const char* const* argv) {
       view.spec.name = reader.spec().name + " [query]";
       view.solvers = matchedLabels;
       view.scenarios = accumulator.scenarios();
-      view.results.resize(reader.numInstances());
+      view.numInstances = reader.numInstances();
       view.summaries = accumulator.finish();
       printCampaignSummary(std::cout, view, true);
     }
@@ -720,8 +717,8 @@ int main(int argc, char** argv) {
 
     const CliArgs args(
         argc, argv,
-        {"workflow", "profile", "algo", "variant", "deadline-factor",
-         "nodes-per-type", "scenario", "intervals", "green-heft", "alpha",
+        {"workflow", "profile", "algo", "deadline-factor",
+         "nodes-per-type", "scenario", "intervals", "alpha",
          "block-size", "ls-radius", "ls-restarts", "ls-seed",
          "bnb-max-nodes", "bnb-time-limit", "threads", "list-algos",
          "list-scenarios", "out", "gantt", "seed", "help", "trace",
@@ -802,12 +799,8 @@ int main(int argc, char** argv) {
       profile = generateProfile(args.getString("scenario", "S1"), preq);
     }
 
-    // Solver selection: --algo wins, legacy --variant / --green-heft map
-    // onto it, default is the paper's strongest variant.
+    // Solver selection; the default is the paper's strongest variant.
     std::string selection = args.getString("algo", "");
-    if (selection.empty() && args.has("variant"))
-      selection = args.getString("variant", "");
-    if (selection.empty() && args.has("green-heft")) selection = "greenheft";
     if (selection.empty()) selection = "pressWR-LS";
 
     const SolverRegistry& registry = SolverRegistry::global();
