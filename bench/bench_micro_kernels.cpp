@@ -61,7 +61,7 @@ void BM_EvaluateCost(benchmark::State& state) {
     benchmark::DoNotOptimize(evaluateCost(inst.gc, inst.profile, s));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_EvaluateCost)->Arg(50)->Arg(200)->Arg(800)->Complexity();
+BENCHMARK(BM_EvaluateCost)->Arg(50)->Arg(200)->Arg(800)->Arg(5000)->Complexity();
 
 void BM_EstLst(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<int>(state.range(0)));
@@ -219,14 +219,14 @@ void BM_Heft(benchmark::State& state) {
   const Platform pf = Platform::scaled(2);
   for (auto _ : state) benchmark::DoNotOptimize(runHeft(g, pf));
 }
-BENCHMARK(BM_Heft)->Arg(50)->Arg(200)->Arg(800);
+BENCHMARK(BM_Heft)->Arg(50)->Arg(200)->Arg(800)->Arg(5000);
 
 void BM_Refinement(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<int>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(refineIntervals(inst.gc, inst.profile, 3));
 }
-BENCHMARK(BM_Refinement)->Arg(50)->Arg(200);
+BENCHMARK(BM_Refinement)->Arg(50)->Arg(200)->Arg(5000);
 
 void BM_GreedyPressWR(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<int>(state.range(0)));

@@ -8,21 +8,19 @@ namespace cawo {
 
 namespace {
 
-/// Sorted unique breakpoints: all interval boundaries plus all task start
-/// and end events, restricted to [0, end of schedule/profile].
-struct SweepData {
-  std::vector<Time> breakpoints;
-  std::vector<std::pair<Time, Power>> deltas; // (time, +/- work power)
+/// A change of active power at one instant.
+struct PowerEvent {
+  Time time;
+  Power delta; // +work power at a start, -work power at an end
 };
 
-SweepData prepareSweep(const EnhancedGraph& gc, const PowerProfile& profile,
-                       const Schedule& s) {
-  SweepData data;
-  data.breakpoints.reserve(profile.numIntervals() + 1 +
-                           2 * static_cast<std::size_t>(gc.numNodes()));
-  for (Time b : profile.boundaries()) data.breakpoints.push_back(b);
-
-  data.deltas.reserve(2 * static_cast<std::size_t>(gc.numNodes()));
+/// The (time, Δpower) events of a complete, in-horizon schedule, sorted by
+/// time once. Zero-length nodes draw no power and add no event.
+std::vector<PowerEvent> sortedScheduleEvents(const EnhancedGraph& gc,
+                                             const PowerProfile& profile,
+                                             const Schedule& s) {
+  std::vector<PowerEvent> events;
+  events.reserve(2 * static_cast<std::size_t>(gc.numNodes()));
   for (TaskId u = 0; u < gc.numNodes(); ++u) {
     CAWO_REQUIRE(s.isSet(u), "schedule is incomplete");
     if (gc.len(u) == 0) continue; // zero-length nodes draw no power
@@ -32,25 +30,54 @@ SweepData prepareSweep(const EnhancedGraph& gc, const PowerProfile& profile,
     CAWO_REQUIRE(b <= profile.horizon(),
                  "schedule exceeds the profile horizon");
     const Power w = gc.workPower(gc.procOf(u));
-    data.deltas.emplace_back(a, w);
-    data.deltas.emplace_back(b, -w);
-    data.breakpoints.push_back(a);
-    data.breakpoints.push_back(b);
+    events.push_back({a, w});
+    events.push_back({b, -w});
   }
-  std::sort(data.breakpoints.begin(), data.breakpoints.end());
-  data.breakpoints.erase(
-      std::unique(data.breakpoints.begin(), data.breakpoints.end()),
-      data.breakpoints.end());
-  std::sort(data.deltas.begin(), data.deltas.end());
-  return data;
+  // Only the time orders the sweep: every event at or before a piece's
+  // start is applied before the piece is billed, and integer sums commute.
+  std::sort(events.begin(), events.end(),
+            [](const PowerEvent& x, const PowerEvent& y) {
+              return x.time < y.time;
+            });
+  return events;
 }
+
+/// Walk the profile intervals merged with the sorted events, calling
+/// `piece(j, active, t0, t1)` for every maximal piece [t0, t1) of interval
+/// j that no event cuts, left to right. These are exactly the pieces
+/// between consecutive distinct interval boundaries and event times.
+template <typename Piece>
+void sweepPieces(const PowerProfile& profile,
+                 const std::vector<PowerEvent>& events, Piece&& piece) {
+  const auto intervals = profile.intervals();
+  std::size_t ei = 0;
+  Power active = 0;
+  for (std::size_t j = 0; j < intervals.size(); ++j) {
+    const Time end = intervals[j].end;
+    for (Time t = intervals[j].begin; t < end;) {
+      while (ei < events.size() && events[ei].time <= t)
+        active += events[ei++].delta;
+      const Time next =
+          ei < events.size() && events[ei].time < end ? events[ei].time : end;
+      piece(j, active, t, next);
+      t = next;
+    }
+  }
+}
+
+/// Sorted unique breakpoints plus sorted deltas, for the duration-aware
+/// sweeps below (partial trajectories billed up to an arbitrary `upTo`).
+struct SweepData {
+  std::vector<Time> breakpoints;
+  std::vector<std::pair<Time, Power>> deltas; // (time, +/- work power)
+};
 
 /// Sweep over explicit (start, duration) events against `profile`,
 /// restricted to [0, upTo). Nodes without a start are skipped (partial
 /// trajectories); contributions past the profile horizon are billed with a
-/// green budget of 0. The breakpoint/delta machinery is the same as
-/// `prepareSweep`, so complete in-horizon trajectories with
-/// durations == ω(u) cost exactly what `evaluateCost` reports.
+/// green budget of 0. Both sweeps bill the same pieces, so complete
+/// in-horizon trajectories with durations == ω(u) cost exactly what
+/// `evaluateCost` reports.
 Cost sweepWithDurations(const EnhancedGraph& gc, const PowerProfile& profile,
                         const Schedule& s, const std::vector<Time>& durations,
                         Time upTo, bool requireComplete) {
@@ -118,25 +145,15 @@ Cost sweepWithDurations(const EnhancedGraph& gc, const PowerProfile& profile,
 
 Cost evaluateCost(const EnhancedGraph& gc, const PowerProfile& profile,
                   const Schedule& s) {
-  const SweepData data = prepareSweep(gc, profile, s);
+  const std::vector<PowerEvent> events = sortedScheduleEvents(gc, profile, s);
   const Power base = gc.totalIdlePower();
-
-  Cost total = 0;
-  Power active = 0;
-  std::size_t di = 0;
-  std::size_t interval = 0;
   const auto intervals = profile.intervals();
-
-  for (std::size_t k = 0; k + 1 < data.breakpoints.size(); ++k) {
-    const Time t0 = data.breakpoints[k];
-    const Time t1 = data.breakpoints[k + 1];
-    while (di < data.deltas.size() && data.deltas[di].first <= t0)
-      active += data.deltas[di++].second;
-    while (interval + 1 < intervals.size() && intervals[interval].end <= t0)
-      ++interval;
-    const Power over = base + active - intervals[interval].green;
-    if (over > 0) total += static_cast<Cost>(over) * (t1 - t0);
-  }
+  Cost total = 0;
+  sweepPieces(profile, events,
+              [&](std::size_t j, Power active, Time t0, Time t1) {
+                const Power over = base + active - intervals[j].green;
+                if (over > 0) total += static_cast<Cost>(over) * (t1 - t0);
+              });
   return total;
 }
 
@@ -200,37 +217,28 @@ Cost carbonLowerBound(const EnhancedGraph& gc, const PowerProfile& profile) {
 CostBreakdown evaluateCostBreakdown(const EnhancedGraph& gc,
                                     const PowerProfile& profile,
                                     const Schedule& s) {
-  const SweepData data = prepareSweep(gc, profile, s);
+  const std::vector<PowerEvent> events = sortedScheduleEvents(gc, profile, s);
   const Power base = gc.totalIdlePower();
+  const auto intervals = profile.intervals();
 
   CostBreakdown out;
   out.perInterval.assign(profile.numIntervals(), 0);
-  Power active = 0;
-  std::size_t di = 0;
-  std::size_t interval = 0;
-  const auto intervals = profile.intervals();
-
-  for (std::size_t k = 0; k + 1 < data.breakpoints.size(); ++k) {
-    const Time t0 = data.breakpoints[k];
-    const Time t1 = data.breakpoints[k + 1];
-    while (di < data.deltas.size() && data.deltas[di].first <= t0)
-      active += data.deltas[di++].second;
-    while (interval + 1 < intervals.size() && intervals[interval].end <= t0)
-      ++interval;
+  sweepPieces(profile, events, [&](std::size_t j, Power active, Time t0,
+                                   Time t1) {
     const Power total = base + active;
     out.peakPower = std::max(out.peakPower, total);
-    const Power green = intervals[interval].green;
+    const Power green = intervals[j].green;
     const Time span = t1 - t0;
     const Power over = total - green;
     if (over > 0) {
-      out.perInterval[interval] += static_cast<Cost>(over) * span;
+      out.perInterval[j] += static_cast<Cost>(over) * span;
       out.total += static_cast<Cost>(over) * span;
       out.brownEnergyUsed += static_cast<Cost>(over) * span;
       out.greenEnergyUsed += static_cast<Cost>(green) * span;
     } else {
       out.greenEnergyUsed += static_cast<Cost>(total) * span;
     }
-  }
+  });
   return out;
 }
 

@@ -15,13 +15,15 @@
 /// and the carbon cost is CC_t = max(P_t − G_j, 0). The total is Σ_t CC_t.
 ///
 /// `evaluateCost` is the polynomial sweep-line evaluator of Appendix A.1
-/// (subintervals between task start/end events and interval boundaries);
+/// (subintervals between task start/end events and interval boundaries:
+/// the (time, Δpower) events are sorted once and swept merged with the
+/// profile intervals);
 /// `evaluateCostReference` loops over individual time units and exists to
 /// cross-check the sweep in tests (pseudo-polynomial, O(T + N)).
 
 namespace cawo {
 
-/// Polynomial carbon-cost evaluation, O((N + J) log(N + J)).
+/// Polynomial carbon-cost evaluation, O(N log N + J).
 /// The schedule must be complete; it may run past the profile horizon only
 /// if the caller extended the profile accordingly.
 Cost evaluateCost(const EnhancedGraph& gc, const PowerProfile& profile,

@@ -305,11 +305,6 @@ void EnhancedGraph::finalize() {
   }
 }
 
-std::size_t EnhancedGraph::checked(TaskId u) const {
-  CAWO_REQUIRE(u >= 0 && u < numNodes(), "node id out of range");
-  return static_cast<std::size_t>(u);
-}
-
 Power EnhancedGraph::idlePower(ProcId p) const {
   CAWO_REQUIRE(p >= 0 && p < numProcs(), "processor id out of range");
   return procIdle_[static_cast<std::size_t>(p)];

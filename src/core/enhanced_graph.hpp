@@ -8,6 +8,7 @@
 #include "core/mapping.hpp"
 #include "core/platform.hpp"
 #include "core/task_graph.hpp"
+#include "util/require.hpp"
 #include "util/types.hpp"
 
 /// \file enhanced_graph.hpp
@@ -153,7 +154,12 @@ public:
   Time criticalPathLength() const;
 
 private:
-  std::size_t checked(TaskId u) const;
+  // Defined inline: the per-node accessors run millions of times per large
+  // solve, so only the range check remains, not a call.
+  std::size_t checked(TaskId u) const {
+    CAWO_REQUIRE(u >= 0 && u < numNodes(), "node id out of range");
+    return static_cast<std::size_t>(u);
+  }
   void finalize(); // builds CSR adjacency + topo order
 
   std::vector<Node> nodes_;

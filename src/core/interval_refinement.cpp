@@ -29,35 +29,38 @@ void emitCutsForProc(const EnhancedGraph& gc,
   for (std::size_t i = 0; i < np; ++i)
     prefix[i + 1] = prefix[i] + gc.len(order[i]);
 
+  // A block order[first .. last-1] aligned at boundary e places task m at
+  // e + (prefix[m] − prefix[first]) (start-aligned, needs the block to end
+  // by the horizon) or at e − (prefix[last] − prefix[m]) (end-aligned,
+  // needs the block to start at or after 0). Every block containing m
+  // yields the same start-aligned cut for a given `first`, and the same
+  // end-aligned cut for a given `last`, so each cut is emitted once, for
+  // the shortest such block — last = m+1, respectively first = m — which
+  // fits whenever any longer one does. Block lengths grow with the block,
+  // so the first misfit ends each scan.
   for (std::size_t first = 0; first < np; ++first) {
     const std::size_t lastLimit =
         std::min(np, first + static_cast<std::size_t>(k));
-    for (std::size_t last = first + 1; last <= lastLimit; ++last) {
-      // Block covers order[first .. last-1].
-      const Time blockLen = prefix[last] - prefix[first];
-      for (const Time e : boundaries) {
-        // Block starts at e: task m starts at e + (prefix[m]-prefix[first])
-        if (e + blockLen <= horizon) {
-          for (std::size_t m = first; m < last; ++m) {
-            const Time t = e + (prefix[m] - prefix[first]);
-            if (t > 0 && t < horizon) emit(t);
-          }
-        }
-        // Block ends at e: task m starts at e − (prefix[last]-prefix[m]).
-        if (e - blockLen >= 0) {
-          for (std::size_t m = first; m < last; ++m) {
-            const Time t = e - (prefix[last] - prefix[m]);
-            if (t > 0 && t < horizon) emit(t);
-          }
-        }
+    for (const Time e : boundaries) {
+      // Start-aligned at e: task m, shortest block first .. m.
+      for (std::size_t m = first; m < lastLimit; ++m) {
+        if (e + (prefix[m + 1] - prefix[first]) > horizon) break;
+        const Time t = e + (prefix[m] - prefix[first]);
+        if (t > 0 && t < horizon) emit(t);
+      }
+      // End-aligned at e: task `first`, shortest block first .. last-1.
+      for (std::size_t last = first + 1; last <= lastLimit; ++last) {
+        const Time t = e - (prefix[last] - prefix[first]);
+        if (t < 0) break;
+        if (t > 0 && t < horizon) emit(t);
       }
     }
   }
 }
 
 /// Horizon cap for the dense mark table (bytes). Block-alignment emits
-/// O(procs · np · k² · |boundaries|) candidate times with massive
-/// duplication; below this cap a byte-per-time-unit table replaces the
+/// O(procs · np · k · |boundaries|) candidate times, many of them shared
+/// between processors; below this cap a byte-per-time-unit table replaces the
 /// collect-then-sort entirely, and because marking is idempotent and
 /// commutative the result is independent of emission order — and thus of
 /// the thread count.

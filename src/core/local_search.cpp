@@ -100,23 +100,49 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
   // of a full scan. Every task starts dirty; probing clears the flag.
   const Time r = opts.radius;
   std::vector<std::uint8_t> dirty(static_cast<std::size_t>(gc.numNodes()), 1);
+
+  // Flat chain slabs: slot slabOff[q] + i holds the current [start, end) of
+  // the i-th task of procOrder(q), so the range marking below searches
+  // contiguous arrays instead of re-reading the schedule through the
+  // chain. An applied move rewrites only the moved task's slot.
+  const auto numProcs = static_cast<std::size_t>(gc.numProcs());
+  std::vector<std::size_t> slabOff(numProcs + 1, 0);
+  for (std::size_t q = 0; q < numProcs; ++q)
+    slabOff[q + 1] =
+        slabOff[q] + gc.procOrder(static_cast<ProcId>(q)).size();
+  std::vector<Time> slabStart(slabOff[numProcs]);
+  std::vector<Time> slabEnd(slabOff[numProcs]);
+  std::vector<TaskId> slotTask(slabOff[numProcs]);
+  std::vector<std::size_t> taskSlot(static_cast<std::size_t>(gc.numNodes()));
+  for (std::size_t q = 0; q < numProcs; ++q) {
+    std::size_t slot = slabOff[q];
+    for (const TaskId x : gc.procOrder(static_cast<ProcId>(q))) {
+      slabStart[slot] = schedule.start(x);
+      slabEnd[slot] = schedule.end(x, gc);
+      slotTask[slot] = x;
+      taskSlot[static_cast<std::size_t>(x)] = slot++;
+    }
+  }
+
   const auto markAround = [&](TaskId u, Time a, Time b, Time a2, Time b2) {
     for (const TaskId x : gc.preds(u)) dirty[static_cast<std::size_t>(x)] = 1;
     for (const TaskId x : gc.succs(u)) dirty[static_cast<std::size_t>(x)] = 1;
     // x reads the changed span [min(a, a2), max(b, b2)) iff
     // end(x) > min(a, a2) − r and start(x) < max(b, b2) + r. Chain edges
     // keep starts and ends monotone along every processor order of a
-    // feasible schedule, so the hits form one binary-searchable run.
+    // feasible schedule, so the hits form one run of each slab: binary
+    // search its first end past `lo`, then scan while starts stay below
+    // `hi`.
     const Time lo = std::min(a, a2) - r;
     const Time hi = std::max(b, b2) + r;
-    for (ProcId q = 0; q < gc.numProcs(); ++q) {
-      const auto chain = gc.procOrder(q);
-      auto it = std::partition_point(chain.begin(), chain.end(), [&](TaskId x) {
-        return schedule.end(x, gc) <= lo;
-      });
-      const auto last = std::partition_point(
-          it, chain.end(), [&](TaskId x) { return schedule.start(x) < hi; });
-      for (; it != last; ++it) dirty[static_cast<std::size_t>(*it)] = 1;
+    const Time* const ends = slabEnd.data();
+    for (std::size_t q = 0; q < numProcs; ++q) {
+      std::size_t i = static_cast<std::size_t>(
+          std::partition_point(ends + slabOff[q], ends + slabOff[q + 1],
+                               [lo](Time e) { return e <= lo; }) -
+          ends);
+      for (; i < slabOff[q + 1] && slabStart[i] < hi; ++i)
+        dirty[static_cast<std::size_t>(slotTask[i])] = 1;
     }
   };
 
@@ -172,6 +198,9 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
         if (bestDelta < 0) {
           timeline.applyMove(cur, cur + len, bestTarget, bestTarget + len, w);
           schedule.setStart(v, bestTarget);
+          const std::size_t slot = taskSlot[static_cast<std::size_t>(v)];
+          slabStart[slot] = bestTarget;
+          slabEnd[slot] = bestTarget + len;
           markAround(v, cur, cur + len, bestTarget, bestTarget + len);
           ++stats.movesApplied;
           improved = true;

@@ -175,43 +175,35 @@ void PowerTimeline::applyMove(Time a, Time b, Time a2, Time b2, Power work) {
 }
 
 void PowerTimeline::addLoads(std::span<const Load> loads) {
-  // Event sweep: O((S + L) log L) rebuild of the whole segment array,
-  // instead of one window rewrite (each a potential tail shift) per load.
-  scratchBegin_.clear();
+  // Event sweep: one (time, Δpower) event per load endpoint, sorted once,
+  // then merged with the existing segments in an O(S + L) rebuild of the
+  // whole segment array — instead of one window rewrite (each a potential
+  // tail shift) per load. Every load is validated before anything changes.
+  struct Event {
+    Time time;
+    Power delta;
+  };
+  std::vector<Event> events;
+  events.reserve(2 * loads.size());
   for (const Load& l : loads) {
     if (l.work == 0 || l.begin >= l.end) continue;
     CAWO_REQUIRE(l.begin >= 0 && l.end <= horizon_, "load outside horizon");
-    scratchBegin_.push_back(l.begin);
-    scratchBegin_.push_back(l.end);
+    events.push_back({l.begin, l.work});
+    events.push_back({l.end, -l.work});
   }
-  if (scratchBegin_.empty()) return;
-  std::sort(scratchBegin_.begin(), scratchBegin_.end());
-  scratchBegin_.erase(
-      std::unique(scratchBegin_.begin(), scratchBegin_.end()),
-      scratchBegin_.end());
-
-  // Delta of active power at each event time (index-aligned with the
-  // sorted unique event array).
-  scratchActive_.assign(scratchBegin_.size(), 0);
-  auto eventIndex = [&](Time t) {
-    return static_cast<std::size_t>(
-        std::lower_bound(scratchBegin_.begin(), scratchBegin_.end(), t) -
-        scratchBegin_.begin());
-  };
-  for (const Load& l : loads) {
-    if (l.work == 0 || l.begin >= l.end) continue;
-    scratchActive_[eventIndex(l.begin)] += l.work;
-    scratchActive_[eventIndex(l.end)] -= l.work;
-  }
+  if (events.empty()) return;
+  // Only the time orders the sweep; deltas at one instant are summed.
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.time < y.time; });
 
   // Merge the existing segment boundaries with the event boundaries into a
   // fresh coalesced array.
   std::vector<Time> newBegin;
   std::vector<Power> newActive;
   std::vector<Power> newGreen;
-  newBegin.reserve(begin_.size() + scratchBegin_.size());
-  newActive.reserve(begin_.size() + scratchBegin_.size());
-  newGreen.reserve(begin_.size() + scratchBegin_.size());
+  newBegin.reserve(begin_.size() + events.size());
+  newActive.reserve(begin_.size() + events.size());
+  newGreen.reserve(begin_.size() + events.size());
   std::size_t si = 0;                 // current old segment
   std::size_t ei = 0;                 // next event
   Power running = 0;                  // Σ event deltas so far
@@ -219,10 +211,10 @@ void PowerTimeline::addLoads(std::span<const Load> loads) {
   Cost total = 0;
   while (t < horizon_) {
     while (si + 1 < active_.size() && begin_[si + 1] <= t) ++si;
-    while (ei < scratchBegin_.size() && scratchBegin_[ei] <= t)
-      running += scratchActive_[ei++];
+    while (ei < events.size() && events[ei].time <= t)
+      running += events[ei++].delta;
     Time next = begin_[si + 1];
-    if (ei < scratchBegin_.size()) next = std::min(next, scratchBegin_[ei]);
+    if (ei < events.size()) next = std::min(next, events[ei].time);
     const Power act = active_[si] + running;
     if (newBegin.empty() || newActive.back() != act ||
         newGreen.back() != green_[si]) {

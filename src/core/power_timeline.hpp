@@ -61,9 +61,11 @@ public:
     Power work = 0;
   };
 
-  /// Add every load in one sweep — O((S + L)·log L) instead of L separate
-  /// `addLoad` window rewrites. This is how the local search seeds a climb
-  /// timeline from a whole schedule.
+  /// Add every load in one sweep: the 2L endpoint events are sorted once
+  /// and merged with the S existing segments — O(L·log L + S) instead of
+  /// L separate `addLoad` window rewrites. This is how the local search
+  /// seeds a climb timeline from a whole schedule. Throws before changing
+  /// anything if a nonempty load leaves the horizon.
   void addLoads(std::span<const Load> loads);
 
   /// Move a load of `work` from [a, b) to [a2, b2) in one window rewrite

@@ -6,11 +6,6 @@
 
 namespace cawo {
 
-std::size_t Schedule::checked(TaskId u) const {
-  CAWO_REQUIRE(u >= 0 && u < numNodes(), "node id out of range");
-  return static_cast<std::size_t>(u);
-}
-
 Time Schedule::makespan(const EnhancedGraph& gc) const {
   Time m = 0;
   for (TaskId u = 0; u < numNodes(); ++u)

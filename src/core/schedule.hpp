@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/enhanced_graph.hpp"
+#include "util/require.hpp"
 #include "util/types.hpp"
 
 /// \file schedule.hpp
@@ -36,7 +37,12 @@ public:
   const std::vector<Time>& starts() const { return start_; }
 
 private:
-  std::size_t checked(TaskId u) const;
+  // Defined inline: the accessors above run millions of times per large
+  // solve, so only the range check remains, not a call.
+  std::size_t checked(TaskId u) const {
+    CAWO_REQUIRE(u >= 0 && u < numNodes(), "node id out of range");
+    return static_cast<std::size_t>(u);
+  }
   std::vector<Time> start_;
 };
 

@@ -158,13 +158,13 @@ SolveResult Solver::solve(const SolveRequest& request) const {
                      meta.name + "')");
   }
 
+  // The `solve` span covers the solver proper plus the wrapper's
+  // validation and cost evaluation (as `solve.validate` / `solve.cost`),
+  // so no wrapper time is dark; `wallMs` stays the solver's own time.
+  obs::TraceScope span("solve");
+  if (span.recording()) span.arg("solver", meta.name);
   WallTimer timer;
-  RawResult raw;
-  {
-    obs::TraceScope span("solve");
-    if (span.recording()) span.arg("solver", meta.name);
-    raw = doSolve(request);
-  }
+  RawResult raw = doSolve(request);
   const double wallMs = timer.elapsedMs();
   obs::harvestSolveStats(raw.stats);
 
@@ -183,24 +183,34 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   const PowerProfile& profile =
       result.extendedProfile ? *result.extendedProfile : *request.profile;
 
-  if (request.residual != nullptr) {
-    // A residual solution is judged against the execution-aware rules: the
-    // pinned prefix ran with its *effective* durations, which the plain
-    // planned-length validation would mis-score (a task that ran short
-    // legitimately frees its processor early). The projected cost uses the
-    // same effective durations.
-    result.validation = validateResidualSchedule(
-        gc, result.schedule, result.effectiveDeadline, *request.residual);
-    result.feasible = result.validation.ok;
-    if (result.feasible)
-      result.cost = evaluateCostWithDurations(gc, profile, result.schedule,
-                                              *request.residual->durations);
-    return result;
+  {
+    obs::TraceScope validate("solve.validate");
+    if (request.residual != nullptr) {
+      // A residual solution is judged against the execution-aware rules:
+      // the pinned prefix ran with its *effective* durations, which the
+      // plain planned-length validation would mis-score (a task that ran
+      // short legitimately frees its processor early).
+      result.validation = validateResidualSchedule(
+          gc, result.schedule, result.effectiveDeadline, *request.residual);
+    } else {
+      result.validation =
+          validateSchedule(gc, result.schedule, result.effectiveDeadline);
+    }
   }
-  result.validation =
-      validateSchedule(gc, result.schedule, result.effectiveDeadline);
   result.feasible = result.validation.ok;
-  if (result.feasible) result.cost = evaluateCost(gc, profile, result.schedule);
+  if (result.feasible) {
+    obs::TraceScope cost("solve.cost");
+    // A residual solution's projected cost uses the same effective
+    // durations as its validation.
+    result.cost = request.residual != nullptr
+                      ? evaluateCostWithDurations(gc, profile, result.schedule,
+                                                  *request.residual->durations)
+                      : evaluateCost(gc, profile, result.schedule);
+  }
+  if (span.recording()) {
+    span.arg("feasible", static_cast<std::int64_t>(result.feasible));
+    span.arg("cost", static_cast<std::int64_t>(result.cost));
+  }
   return result;
 }
 

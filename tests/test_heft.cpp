@@ -2,6 +2,9 @@
 
 #include "core/enhanced_graph.hpp"
 #include "heft/heft.hpp"
+#include "support/heft_linear_scan.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "workflow/generators.hpp"
 
 namespace cawo {
@@ -128,6 +131,82 @@ TEST(Heft, ResultFeedsEnhancedGraphConstruction) {
       EnhancedGraph::build(g, pf, res.mapping, {}, &res.startTimes);
   EXPECT_GE(gc.numNodes(), g.numTasks());
   EXPECT_GE(gc.numLinks(), 0);
+}
+
+/// Random DAG over `n` tasks; about one task in four has zero work (a
+/// zero-length slot on every processor) and edge data may be zero.
+TaskGraph randomHeftDag(int n, double density, Rng& rng) {
+  TaskGraph g;
+  for (int i = 0; i < n; ++i)
+    g.addTask(indexedName("t", i),
+              rng.uniformInt(0, 3) == 0 ? 0 : rng.uniformInt(1, 40));
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if (rng.uniformReal(0.0, 1.0) < density)
+        g.addEdge(static_cast<TaskId>(i), static_cast<TaskId>(j),
+                  rng.uniformInt(0, 12));
+  return g;
+}
+
+TEST(Heft, InsertionSearchMatchesLinearScanOracle) {
+  // Skipping the slots that end by the ready time must not change a single
+  // placement: same processor, order, start and finish for every task.
+  Rng rng(20261019);
+  int cases = 0;
+  for (const Platform& pf : {fastSlow(), Platform::scaled(1),
+                             Platform::uniform(3, 2, 1, 1)}) {
+    for (int i = 0; i < 12; ++i) {
+      const int n = static_cast<int>(rng.uniformInt(1, 80));
+      const double density = rng.uniformReal(0.0, 0.2);
+      const TaskGraph g = randomHeftDag(n, density, rng);
+      const HeftResult got = runHeft(g, pf);
+      const HeftResult want = testing::runHeftLinearScan(g, pf);
+      ASSERT_EQ(got.startTimes, want.startTimes) << "case " << cases;
+      ASSERT_EQ(got.finishTimes, want.finishTimes) << "case " << cases;
+      ASSERT_EQ(got.makespan, want.makespan) << "case " << cases;
+      for (TaskId v = 0; v < g.numTasks(); ++v) {
+        ASSERT_EQ(got.mapping.procOf(v), want.mapping.procOf(v));
+        ASSERT_EQ(got.mapping.positionOf(v), want.mapping.positionOf(v));
+      }
+      ++cases;
+    }
+  }
+  // Generated workflows, where insertion into earlier gaps is common.
+  for (const auto family :
+       {WorkflowFamily::Atacseq, WorkflowFamily::Bacass, WorkflowFamily::Eager,
+        WorkflowFamily::Methylseq}) {
+    WorkflowGenOptions opts;
+    opts.targetTasks = 300;
+    opts.seed = 41;
+    const TaskGraph g = generateWorkflow(family, opts);
+    const HeftResult got = runHeft(g, Platform::scaled(1));
+    const HeftResult want = testing::runHeftLinearScan(g, Platform::scaled(1));
+    EXPECT_EQ(got.startTimes, want.startTimes) << familyName(family);
+    for (TaskId v = 0; v < g.numTasks(); ++v)
+      ASSERT_EQ(got.mapping.positionOf(v), want.mapping.positionOf(v));
+  }
+}
+
+TEST(Heft, ZeroWorkTasksAtTheReadyTimeKeepTheirSlot) {
+  // a (zero work) and c (zero work) both become ready at b's finish on
+  // the one processor; the zero-length slots at s == e == ready must be
+  // placed exactly as the linear scan places them.
+  TaskGraph g;
+  const TaskId b = g.addTask("b", 6);
+  const TaskId a = g.addTask("a", 0);
+  const TaskId c = g.addTask("c", 0);
+  const TaskId d = g.addTask("d", 3);
+  g.addEdge(b, a);
+  g.addEdge(b, c);
+  g.addEdge(a, d);
+  g.addEdge(c, d);
+  const Platform pf = Platform::uniform(1, 1, 1, 1);
+  const HeftResult got = runHeft(g, pf);
+  const HeftResult want = testing::runHeftLinearScan(g, pf);
+  EXPECT_EQ(got.startTimes, want.startTimes);
+  EXPECT_EQ(got.startTimes[static_cast<std::size_t>(a)], 6);
+  EXPECT_EQ(got.startTimes[static_cast<std::size_t>(c)], 6);
+  EXPECT_EQ(got.startTimes[static_cast<std::size_t>(d)], 6);
 }
 
 } // namespace

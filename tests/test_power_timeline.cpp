@@ -228,6 +228,85 @@ TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
   }
 }
 
+// Property: the bulk loader builds the same timeline as one `addLoad` per
+// load (and as the map-backed oracle): same total, same coalesced segment
+// count, same cost in every unit slot and the same probe answers — for
+// unsorted loads with zero work, zero length, coincident endpoints and
+// ends at the horizon, on empty and already-loaded timelines alike.
+TEST(PowerTimeline, AddLoadsMatchesSequentialAddLoadAndMapOracle) {
+  Rng rng(0xadd10ad5);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Time horizon = rng.uniformInt(1, 60);
+    const PowerProfile p = randomProfile(horizon, 5, 0, 10, rng);
+    const Power base = rng.uniformInt(0, 4);
+    PowerTimeline bulk(p, base);
+    PowerTimeline sequential(p, base);
+    MapPowerTimeline oracle(p, base);
+
+    // A few endpoints shared by many loads make coincident events common.
+    std::vector<Time> points{0, horizon};
+    for (int i = 0; i < 4; ++i) points.push_back(rng.uniformInt(0, horizon));
+    const auto pick = [&] {
+      return rng.uniformInt(0, 2) == 0
+                 ? points[static_cast<std::size_t>(
+                       rng.uniformInt(0, points.size() - 1))]
+                 : rng.uniformInt(0, horizon);
+    };
+    for (int batch = 0; batch < 3; ++batch) {
+      std::vector<PowerTimeline::Load> loads;
+      const int n = static_cast<int>(rng.uniformInt(0, 30));
+      for (int i = 0; i < n; ++i) {
+        Time a = pick();
+        Time b = pick();
+        if (a > b) std::swap(a, b);
+        if (rng.uniformInt(0, 5) == 0) b = a;        // zero-length
+        if (rng.uniformInt(0, 5) == 0) b = horizon;  // ends at the horizon
+        const Power w = rng.uniformInt(0, 3) == 0 ? 0 : rng.uniformInt(1, 6);
+        loads.push_back({a, b, w});
+      }
+      bulk.addLoads(loads);
+      for (const auto& [a, b, w] : loads) {
+        sequential.addLoad(a, b, w);
+        oracle.addLoad(a, b, w);
+      }
+      ASSERT_EQ(bulk.totalCost(), sequential.totalCost())
+          << "trial " << trial << " batch " << batch;
+      ASSERT_EQ(bulk.totalCost(), oracle.totalCost());
+      EXPECT_EQ(bulk.numSegments(), sequential.numSegments());
+      for (Time t = 0; t < horizon; ++t)
+        ASSERT_EQ(bulk.costInRange(t, t + 1), oracle.costInRange(t, t + 1))
+            << "trial " << trial << " t " << t;
+      for (int probe = 0; probe < 5; ++probe) {
+        const Time a = rng.uniformInt(0, horizon);
+        const Time b = rng.uniformInt(a, horizon);
+        const Time a2 = rng.uniformInt(0, horizon);
+        const Time b2 = rng.uniformInt(a2, horizon);
+        const Power w = rng.uniformInt(1, 5);
+        EXPECT_EQ(bulk.peekMoveDelta(a, b, a2, b2, w),
+                  oracle.peekMoveDelta(a, b, a2, b2, w));
+      }
+    }
+  }
+}
+
+TEST(PowerTimeline, AddLoadsRejectsOutOfHorizonLoadsBeforeChangingAnything) {
+  const PowerProfile p = PowerProfile::uniform(10, 3);
+  PowerTimeline t(p, 1);
+  t.addLoad(2, 5, 4);
+  const Cost before = t.totalCost();
+  const std::size_t segments = t.numSegments();
+  const std::vector<PowerTimeline::Load> pastEnd{{0, 4, 2}, {6, 11, 1}};
+  EXPECT_THROW(t.addLoads(pastEnd), PreconditionError);
+  const std::vector<PowerTimeline::Load> negative{{3, 4, 2}, {-1, 2, 1}};
+  EXPECT_THROW(t.addLoads(negative), PreconditionError);
+  EXPECT_EQ(t.totalCost(), before);
+  EXPECT_EQ(t.numSegments(), segments);
+  // Empty and zero-work loads are skipped, wherever they lie.
+  const std::vector<PowerTimeline::Load> ignored{{12, 12, 5}, {-3, 20, 0}};
+  t.addLoads(ignored);
+  EXPECT_EQ(t.totalCost(), before);
+}
+
 // Property: the batched probe equals the scalar probe for every candidate —
 // arbitrary order, arbitrary length, empty candidates, the identity
 // candidate, and an empty source interval.

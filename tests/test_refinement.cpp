@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/interval_refinement.hpp"
+#include "support/refinement_all_blocks.hpp"
 #include "test_util.hpp"
 
 namespace cawo {
@@ -121,6 +122,56 @@ TEST(Refinement, MultiProcessorCutsUnionOverProcs) {
   const auto cuts = refinementCutPoints(gc, p, 3);
   EXPECT_TRUE(std::find(cuts.begin(), cuts.end(), 12 - 3) != cuts.end());
   EXPECT_TRUE(std::find(cuts.begin(), cuts.end(), 12 - 4) != cuts.end());
+}
+
+/// Random multi-processor graph: lengths 0..6 (zero-length nodes included)
+/// spread over `numProcs` processors, no precedence edges (refinement reads
+/// only the processor orders and lengths).
+EnhancedGraph randomRefinementGc(int n, int numProcs, Rng& rng) {
+  std::vector<std::pair<ProcId, Time>> tasks;
+  for (int i = 0; i < n; ++i)
+    tasks.push_back({static_cast<ProcId>(rng.uniformInt(0, numProcs - 1)),
+                     rng.uniformInt(0, 3) == 0 ? 0 : rng.uniformInt(1, 6)});
+  return testing::makeGc(tasks, {}, std::vector<Power>(numProcs, 1),
+                         std::vector<Power>(numProcs, 2));
+}
+
+TEST(Refinement, CutSetMatchesAllBlocksEmissionOracle) {
+  // Emitting each cut once, for its shortest enclosing block, must give
+  // exactly the cut set of the all-blocks emission, for every block size.
+  Rng rng(20261019);
+  for (int i = 0; i < 24; ++i) {
+    const int numProcs = static_cast<int>(rng.uniformInt(1, 4));
+    const EnhancedGraph gc = randomRefinementGc(
+        static_cast<int>(rng.uniformInt(1, 25)), numProcs, rng);
+    PowerProfile p;
+    const int intervals = static_cast<int>(rng.uniformInt(1, 6));
+    for (int j = 0; j < intervals; ++j)
+      p.appendInterval(rng.uniformInt(1, 15), rng.uniformInt(0, 9));
+    for (int k = 1; k <= 5; ++k) {
+      EXPECT_EQ(refinementCutPoints(gc, p, k),
+                testing::refinementCutPointsAllBlocks(gc, p, k))
+          << "case " << i << ", k = " << k;
+      EXPECT_EQ(refinementCutPoints(gc, p, k, /*threads=*/3),
+                testing::refinementCutPointsAllBlocks(gc, p, k))
+          << "case " << i << ", k = " << k << ", 3 threads";
+    }
+  }
+}
+
+TEST(Refinement, SparsePathMatchesAllBlocksEmissionOracle) {
+  // A horizon past the dense mark table's cap takes the collect-and-sort
+  // path; its cut set must match the oracle too.
+  Rng rng(7);
+  const EnhancedGraph gc = randomRefinementGc(30, 3, rng);
+  PowerProfile p;
+  p.appendInterval(Time(1) << 26, 4);
+  p.appendInterval(17, 1);
+  p.appendInterval(Time(1) << 25, 6);
+  for (int k = 1; k <= 5; ++k)
+    EXPECT_EQ(refinementCutPoints(gc, p, k),
+              testing::refinementCutPointsAllBlocks(gc, p, k))
+        << "k = " << k;
 }
 
 } // namespace

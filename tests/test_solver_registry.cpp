@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
 #include "exp/campaign_runner.hpp"
+#include "exp/json.hpp"
+#include "obs/trace.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
@@ -307,6 +310,59 @@ TEST(SolverApi, SuiteSelectionRunsThroughRunner) {
   EXPECT_EQ(picked.records[1].solver, "pressWR-LS");
   EXPECT_TRUE(picked.records[1].feasible);
   EXPECT_LE(picked.records[1].cost, picked.records[0].cost);
+}
+
+TEST(SolverApi, SolveSpanCoversValidationAndCostWithArgs) {
+#ifdef CAWO_OBS_DISABLED
+  GTEST_SKIP() << "CAWO_OBS_DISABLED: span sites compiled out";
+#endif
+  // The wrapper's validation and cost evaluation are spanned inside the
+  // `solve` span, which carries the solver, feasible and cost args.
+  const ChainFixture chain;
+  SolveRequest request;
+  request.gc = &chain.gc;
+  request.profile = &chain.profile;
+  request.deadline = chain.deadline;
+  const SolverPtr solver = SolverRegistry::global().create("pressWR-LS");
+
+  auto& recorder = obs::TraceRecorder::global();
+  recorder.setState(obs::TraceState::Off);
+  recorder.clear();
+  recorder.setState(obs::TraceState::Recording);
+  const SolveResult result = solver->solve(request);
+  recorder.setState(obs::TraceState::Off);
+  std::ostringstream out;
+  recorder.writeChromeTrace(out);
+  recorder.clear();
+  ASSERT_TRUE(result.feasible);
+
+  struct Span {
+    double ts = -1, dur = -1;
+  };
+  Span solve, validate, cost;
+  const JsonValue doc = JsonValue::parse(out.str());
+  for (const JsonValue& ev : doc.at("traceEvents").asArray()) {
+    if (ev.at("ph").asString() != "X") continue;
+    const std::string& name = ev.at("name").asString();
+    Span* span = name == "solve"            ? &solve
+                 : name == "solve.validate" ? &validate
+                 : name == "solve.cost"     ? &cost
+                                            : nullptr;
+    if (span == nullptr) continue;
+    ASSERT_LT(span->ts, 0.0) << "one " << name << " span per solve";
+    span->ts = ev.at("ts").asDouble();
+    span->dur = ev.at("dur").asDouble();
+    if (name == "solve") {
+      EXPECT_EQ(ev.at("args").at("solver").asString(), "pressWR-LS");
+      EXPECT_EQ(ev.at("args").at("feasible").asInt(), 1);
+      EXPECT_EQ(ev.at("args").at("cost").asInt(), result.cost);
+    }
+  }
+  ASSERT_GE(solve.ts, 0.0);
+  for (const Span& child : {validate, cost}) {
+    ASSERT_GE(child.ts, solve.ts);
+    EXPECT_LE(child.ts + child.dur, solve.ts + solve.dur + 1e-9);
+  }
 }
 
 } // namespace
