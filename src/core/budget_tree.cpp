@@ -174,11 +174,6 @@ void BudgetTree::splitAt(Time t) {
   (void)splitAtIdxFrom(findBlock(t), t);
 }
 
-void BudgetTree::addRange(Time a, Time b, Power delta) {
-  if (a >= b || delta == 0) return;
-  addRangeFrom(a <= 0 ? 0 : findBlock(a), a, b, delta);
-}
-
 void BudgetTree::addRangeFrom(std::size_t start, Time a, Time b,
                               Power delta) {
   const Time hi = b - 1; // keys in [a, hi]

@@ -30,7 +30,7 @@
 /// lines of contiguous memory.
 ///
 /// `maxInRange`/`budgetAt`/`dump` are genuinely read-only, so concurrent
-/// const readers are safe — any mutator (`consume`, `splitAt`, `addRange`)
+/// const readers are safe — any mutator (`consume`, `splitAt`)
 /// requires exclusive access. The store is copyable: a `SolveContext`
 /// memoizes one built prototype per interval set and every greedy run
 /// starts from a plain copy (three vector copies) instead of rebuilding.
@@ -54,11 +54,6 @@ public:
   /// Ensure a segment boundary exists at `t` (splits the segment containing
   /// t; no-op if t is already a boundary or outside (0, horizon)).
   void splitAt(Time t);
-
-  /// Add `delta` (may be negative) to the budget of every segment whose
-  /// begin lies in [a, b). Callers should splitAt(a) and splitAt(b) first so
-  /// that the range aligns with the intended time window.
-  void addRange(Time a, Time b, Power delta);
 
   /// Decrement budgets over the *time window* [a, b): splits at a and b,
   /// then subtracts `amount` from every covered segment.
@@ -142,7 +137,8 @@ private:
   /// consume with the starting directory index already located.
   void consumeFrom(std::size_t bi, Time a, Time b, Power amount);
 
-  /// addRange with the starting directory index already located.
+  /// Add `delta` (may be negative) to the budget of every segment whose
+  /// begin lies in [a, b), starting the scan at directory block `start`.
   void addRangeFrom(std::size_t start, Time a, Time b, Power delta);
 
   /// Split the full block at directory index bi into two half-full blocks.

@@ -17,9 +17,8 @@
 /// `evaluateCost` is the polynomial sweep-line evaluator of Appendix A.1
 /// (subintervals between task start/end events and interval boundaries:
 /// the (time, Δpower) events are sorted once and swept merged with the
-/// profile intervals);
-/// `evaluateCostReference` loops over individual time units and exists to
-/// cross-check the sweep in tests (pseudo-polynomial, O(T + N)).
+/// profile intervals). Tests cross-check it against a per-time-unit
+/// reference (tests/support/cost_reference.hpp).
 
 namespace cawo {
 
@@ -28,10 +27,6 @@ namespace cawo {
 /// if the caller extended the profile accordingly.
 Cost evaluateCost(const EnhancedGraph& gc, const PowerProfile& profile,
                   const Schedule& s);
-
-/// Pseudo-polynomial reference evaluation (test oracle).
-Cost evaluateCostReference(const EnhancedGraph& gc, const PowerProfile& profile,
-                           const Schedule& s);
 
 /// Per-interval cost decomposition (for reporting / plotting).
 struct CostBreakdown {

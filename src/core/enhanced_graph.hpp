@@ -104,16 +104,6 @@ public:
   /// inner loops touch 8-byte strides instead of whole Node records.
   std::span<const Time> lens() const { return lens_; }
   std::span<const ProcId> procs() const { return procs_; }
-  std::span<const Power> nodeDrawPowers() const { return nodeDraw_; }
-
-  /// Raw CSR adjacency: successors of u are
-  /// `succAdjacency()[succOffsets()[u] .. succOffsets()[u+1])` (likewise
-  /// preds). Exposed flat so hot loops can keep the base pointers in
-  /// registers instead of re-deriving a span per node.
-  std::span<const std::size_t> succOffsets() const { return succIndex_; }
-  std::span<const TaskId> succAdjacency() const { return succList_; }
-  std::span<const std::size_t> predOffsets() const { return predIndex_; }
-  std::span<const TaskId> predAdjacency() const { return predList_; }
 
   /// Topological-position renumbering: `topoPositions()[u]` is the index of
   /// node u in `topoOrder()`. The worklist kernels run entirely in position

@@ -6,17 +6,14 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "core/carbon_cost.hpp"
 #include "core/instance_hash.hpp"
 #include "core/solve_context.hpp"
 #include "exp/json.hpp"
 #include "exp/record_json.hpp"
-#include "exp/record_sink.hpp"
 #include "exp/store.hpp"
 #include "exp/summary.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "online/replay.hpp"
 #include "profile/profile_source.hpp"
@@ -306,17 +303,13 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
   outcome.numInstances = instances.size();
   outcome.records.resize(totalCells);
 
-  // The in-memory path is "runner → MemoryRecordSink": workers solve into
-  // a local cell group and hand it over, exactly like the store-backed
-  // path hands groups to CampaignStoreWriter.
-  MemoryRecordSink sink(outcome.records, S);
+  // Each worker solves straight into its instance's slots: instances
+  // touch disjoint ranges of `records`, so no lock is needed.
   std::atomic<std::size_t> done{0};
   parallelFor(instances.size(), spec.threads, [&](std::size_t i) {
     if (obs::traceRecording()) obs::traceSetThreadName("campaign-worker");
-    std::vector<CampaignRecord> group(S);
     solveInstanceCells(instances[i], spec, solverNames, outcome.solvers,
-                       options, group.data());
-    sink.appendInstance(i, group.data(), S);
+                       options, outcome.records.data() + i * S);
     if (progress) progress(done.fetch_add(S) + S, totalCells);
   });
 
@@ -426,11 +419,6 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
     stats.recordsPerSec =
         static_cast<double>(stats.cellsSolved) / stats.wallSec;
   }
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter("campaign.cells_solved")
-      .add(static_cast<std::int64_t>(pending.size() * S));
-  metrics.counter("campaign.records_appended")
-      .add(static_cast<std::int64_t>(stats.cellsSolved));
   return stats;
 }
 
@@ -543,12 +531,6 @@ void writeCampaignJson(std::ostream& out, const CampaignOutcome& outcome) {
 
   w.endObject();
   out << '\n';
-}
-
-std::string toCampaignJsonString(const CampaignOutcome& outcome) {
-  std::ostringstream out;
-  writeCampaignJson(out, outcome);
-  return out.str();
 }
 
 void writeCampaignJsonFile(const std::string& path,

@@ -19,13 +19,14 @@
 /// The runner expands the campaign's cross-product into instances, builds
 /// and solves them with `parallelFor` sharding over *instances* (each shard
 /// runs the full solver selection on its instance against one shared
-/// `SolveContext`), and hands each finished instance's cell group to a
-/// `RecordSink` (exp/record_sink.hpp):
-///   * `runCampaign` feeds a `MemoryRecordSink` — the batch-in-RAM path
-///     producing a `CampaignOutcome` with every record;
-///   * `runCampaignToStore` feeds a `CampaignStoreWriter` (exp/store.hpp)
-///     — the streaming out-of-core path for production-scale sweeps, with
-///     resume (only missing cells are solved) and multi-process sharding.
+/// `SolveContext`). Each finished instance's cell group goes to one of two
+/// places:
+///   * `runCampaign` solves it straight into its slots of
+///     `CampaignOutcome::records` — the batch-in-RAM path;
+///   * `runCampaignToStore` hands it to a `CampaignStoreWriter`
+///     (exp/store.hpp) — the streaming out-of-core path for
+///     production-scale sweeps, with resume (only missing cells are
+///     solved) and multi-process sharding.
 /// Both paths produce byte-identical final JSON documents on the same
 /// spec; the summaries come from the shared `SummaryAccumulator`.
 
@@ -122,7 +123,6 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
 /// `records` array (one single-line object per cell — grep-friendly, still
 /// one valid document) and a `summary` array.
 void writeCampaignJson(std::ostream& out, const CampaignOutcome& outcome);
-std::string toCampaignJsonString(const CampaignOutcome& outcome);
 void writeCampaignJsonFile(const std::string& path,
                            const CampaignOutcome& outcome);
 

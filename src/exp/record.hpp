@@ -13,10 +13,9 @@
 /// `cawosched-campaign-v1` result schema (docs/formats.md).
 ///
 /// They live apart from the campaign runner so the layers that only move
-/// records around — the JSON line codec (exp/record_json), the sink
-/// abstraction (exp/record_sink), the result store (exp/store) and the
-/// summary accumulator (exp/summary) — do not depend on the solver
-/// machinery the runner pulls in.
+/// records around — the JSON line codec (exp/record_json), the result
+/// store (exp/store) and the summary accumulator (exp/summary) — do not
+/// depend on the solver machinery the runner pulls in.
 
 namespace cawo {
 

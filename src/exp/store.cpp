@@ -8,13 +8,13 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
 #include "core/instance_hash.hpp"
 #include "exp/json.hpp"
 #include "exp/record_json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
@@ -291,8 +291,14 @@ CampaignStoreWriter::CampaignStoreWriter(const std::string& dir,
                                          const CampaignSpec& spec,
                                          const StoreOptions& options)
     : dir_(dir), spec_(spec), options_(options) {
-  CAWO_REQUIRE(options_.shardCount >= 1,
-               "store shard count must be at least 1");
+  // The manifest records the count as a JSON int64; a larger count
+  // would be written negative and make the store unreadable.
+  constexpr auto kMaxShards =
+      static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max());
+  CAWO_REQUIRE(options_.shardCount >= 1 && options_.shardCount <= kMaxShards,
+               "store shard count must be between 1 and " +
+                   std::to_string(kMaxShards) + ", got " +
+                   std::to_string(options_.shardCount));
   CAWO_REQUIRE(options_.shardIndex < options_.shardCount,
                "store shard index " + std::to_string(options_.shardIndex) +
                    " out of range for " +
@@ -513,7 +519,6 @@ void CampaignStoreWriter::flushLocked() {
   writeAll(idxFd_, pendingIndex_, idxPath);
   fsyncFd(idxFd_, idxPath);
   fsyncCount_ += 2;
-  obs::MetricsRegistry::global().counter("store.fsyncs").add(2);
   pendingSegment_.clear();
   pendingIndex_.clear();
   pendingRecords_ = 0;
@@ -545,8 +550,10 @@ CampaignStoreReader::CampaignStoreReader(const std::string& dir)
                    doc.at("schema").asString() + "\", expected \"" +
                    kStoreSchemaId + "\"");
   spec_ = parseCampaignText(doc.at("spec_json").asString());
-  shardCount_ = static_cast<std::size_t>(doc.at("shards").asInt());
-  CAWO_REQUIRE(shardCount_ >= 1, "store manifest: shards must be >= 1");
+  const std::int64_t shards = doc.at("shards").asInt();
+  CAWO_REQUIRE(shards >= 1, "store manifest: shards must be >= 1, got " +
+                                std::to_string(shards));
+  shardCount_ = static_cast<std::size_t>(shards);
   for (const JsonValue& s : doc.at("solvers").asArray())
     labels_.push_back(s.asString());
   CAWO_REQUIRE(!labels_.empty(), "store manifest: empty solver list");

@@ -10,7 +10,6 @@
 
 #include "exp/campaign.hpp"
 #include "exp/record.hpp"
-#include "exp/record_sink.hpp"
 
 /// \file store.hpp
 /// The campaign result store: streaming, sharded, resumable persistence
@@ -36,11 +35,12 @@
 /// re-runs. Peak writer memory is O(group-commit buffer) + O(grid
 /// bookkeeping bits), never O(records).
 ///
-/// Sharding: `shardOfInstance` (FNV over the instance spec) deterministically
-/// partitions the instance grid across `shardCount` independent writer
-/// processes; each writes only its own segment pair, and the reader merges
-/// all segments back into expansion order, so the final document is
-/// byte-identical no matter how many processes produced it.
+/// Sharding: `instanceSpecHash(spec) % shardCount` (FNV over the instance
+/// spec) deterministically partitions the instance grid across
+/// `shardCount` independent writer processes; each writes only its own
+/// segment pair, and the reader merges all segments back into expansion
+/// order, so the final document is byte-identical no matter how many
+/// processes produced it.
 
 namespace cawo {
 
@@ -60,25 +60,27 @@ struct StoreRecovery {
   std::size_t droppedIndexLines = 0; ///< invalid/torn index tail dropped
 };
 
-/// Streaming record sink writing one shard of a campaign store.
+/// Streaming writer for one shard of a campaign store.
 ///
 /// Thread-safe (`appendInstance` is called from runner workers). The
 /// destructor flushes; call `flush()` explicitly where durability must be
 /// sequenced (e.g. before reporting completion).
-class CampaignStoreWriter : public RecordSink {
+class CampaignStoreWriter {
 public:
   CampaignStoreWriter(const std::string& dir, const CampaignSpec& spec,
                       const StoreOptions& options = {});
-  ~CampaignStoreWriter() override;
+  ~CampaignStoreWriter();
 
   CampaignStoreWriter(const CampaignStoreWriter&) = delete;
   CampaignStoreWriter& operator=(const CampaignStoreWriter&) = delete;
 
-  /// Append an instance's cell group, skipping cells already durable
-  /// (after torn-tail recovery an instance can be partially present).
+  /// Append instance `instanceIndex`'s complete cell group — `count`
+  /// records, cell-major in the campaign's solver/policy label order —
+  /// skipping cells already durable (after torn-tail recovery an
+  /// instance can be partially present).
   void appendInstance(std::size_t instanceIndex,
                       const CampaignRecord* records,
-                      std::size_t count) override;
+                      std::size_t count);
 
   /// Append one cell; throws if it is already present (duplicate cells
   /// would corrupt the grid → segment mapping).
@@ -108,7 +110,6 @@ public:
   const CampaignSpec& spec() const { return spec_; }
   const std::vector<std::string>& cellLabels() const { return labels_; }
   const std::vector<InstanceSpec>& instances() const { return instances_; }
-  const std::string& directory() const { return dir_; }
   std::size_t shardIndex() const { return options_.shardIndex; }
   std::size_t shardCount() const { return options_.shardCount; }
   /// What (if anything) the resume recovery found and repaired on open.

@@ -1,60 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 /// \file metrics.hpp
-/// Named counters, gauges and histograms (see DESIGN.md, "Telemetry
-/// layer" and docs/observability.md, "Metrics catalog").
+/// Sample histogram with exact nearest-rank percentiles (see DESIGN.md,
+/// "Telemetry layer" and docs/observability.md).
 ///
-/// This replaces the repo's three one-off stat surfaces with one
-/// registry: `SolveResult::stats` keys are harvested into counters
-/// uniformly (`harvestSolveStats`), the serve daemon's hand-rolled
-/// nearest-rank percentile code lives here as `Histogram` (byte-stable
-/// with the old serve output for the same samples), and campaign/store
-/// throughput counters surface through the same types.
-///
-/// Counters and gauges are single relaxed atomics — safe to bump from
-/// any thread, including solver hot paths. `Histogram` keeps the exact
+/// The serve daemon's latency and queue-wait statistics and the trace
+/// summary's per-span durations are kept as `Histogram`s: the exact
 /// sample set (mutex-protected) so nearest-rank percentiles are exact,
 /// plus fixed bucket counts for the serve `detail:"full"` export.
 
 namespace cawo::obs {
-
-/// Monotonic counter (relaxed atomic).
-class Counter {
-public:
-  void add(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::int64_t> value_{0};
-};
-
-/// Last-write-wins gauge (relaxed atomic).
-class Gauge {
-public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::int64_t> value_{0};
-};
 
 /// Sample histogram with exact nearest-rank percentiles plus fixed
 /// bucket counts.
@@ -101,50 +60,5 @@ private:
   std::vector<std::int64_t> buckets_;
   double sum_ = 0.0;
 };
-
-/// Process-wide named-metric registry. Lookup registers on first use and
-/// returns a stable reference; the instruments themselves are
-/// thread-safe, and lookup takes the registry mutex.
-class MetricsRegistry {
-public:
-  static MetricsRegistry& global();
-  MetricsRegistry() = default;
-
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
-
-  /// Iterate instruments in name order.
-  void forEachCounter(
-      const std::function<void(const std::string&, std::int64_t)>& fn) const;
-  void forEachGauge(
-      const std::function<void(const std::string&, std::int64_t)>& fn) const;
-  void forEachHistogram(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
-
-  /// "name value" lines for counters/gauges and
-  /// "name count=N mean=X p99=Y" for histograms, name-sorted.
-  void writeText(std::ostream& out) const;
-
-  /// Zero counters/gauges and clear histograms (registrations persist).
-  void reset();
-
-  std::size_t size() const;
-
-private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/// Fold one solver run's `SolveResult::stats` into the global registry:
-/// each key becomes the counter `solve.stats.<key>` (summed across
-/// runs), plus one bump of `solve.count`. The campaign runner and the
-/// serve daemon both harvest through this, so every stat surfaces the
-/// same way regardless of the entry point.
-void harvestSolveStats(const std::map<std::string, std::int64_t>& stats);
 
 } // namespace cawo::obs

@@ -147,8 +147,6 @@ private:
 
 #ifndef CAWO_OBS_DISABLED
 
-/// True when any tracing is on (Idle or Recording).
-inline bool traceEnabled() { return detail::traceStateRelaxed() != 0; }
 /// True only while events are actually stored — guard arg formatting.
 inline bool traceRecording() { return detail::traceStateRelaxed() == 2; }
 
@@ -205,7 +203,6 @@ void traceSetThreadName(const std::string& name);
 
 #else // CAWO_OBS_DISABLED — every span site compiles to nothing.
 
-inline bool traceEnabled() { return false; }
 inline bool traceRecording() { return false; }
 
 class TraceScope {

@@ -65,12 +65,6 @@ std::uint64_t instanceSpecHash(const InstanceSpec& spec) {
   return h.value();
 }
 
-std::size_t shardOfInstance(const InstanceSpec& spec,
-                            std::size_t shardCount) {
-  CAWO_REQUIRE(shardCount >= 1, "shard count must be at least 1");
-  return static_cast<std::size_t>(instanceSpecHash(spec) % shardCount);
-}
-
 Instance buildInstance(const InstanceSpec& spec) {
   CAWO_REQUIRE(spec.deadlineFactor >= 1.0,
                "deadline factor below 1.0 is infeasible by definition of D");

@@ -52,9 +52,6 @@ struct InstanceSpec {
 /// cell from the spec text, before any workflow is generated.
 std::uint64_t instanceSpecHash(const InstanceSpec& spec);
 
-/// The shard (0-based, < shardCount) that owns this instance.
-std::size_t shardOfInstance(const InstanceSpec& spec, std::size_t shardCount);
-
 struct Instance {
   InstanceSpec spec;
   TaskGraph graph;

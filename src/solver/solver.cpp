@@ -5,7 +5,6 @@
 
 #include "core/carbon_cost.hpp"
 #include "core/solve_context.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
 #include "util/timer.hpp"
@@ -166,7 +165,6 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   WallTimer timer;
   RawResult raw = doSolve(request);
   const double wallMs = timer.elapsedMs();
-  obs::harvestSolveStats(raw.stats);
 
   SolveResult result;
   result.schedule = std::move(raw.schedule);

@@ -8,8 +8,7 @@
 
 /// \file generators.hpp
 /// Synthetic workflow generators modelled on the nf-core pipelines used in
-/// the paper's evaluation (atacseq, bacass, eager, methylseq) plus generic
-/// DAG families for tests.
+/// the paper's evaluation (atacseq, bacass, eager, methylseq).
 ///
 /// The paper obtains its instances by taking a real Nextflow trace as a
 /// model graph and scaling it up WFGen-style; the pipelines are per-sample
@@ -43,25 +42,5 @@ struct WorkflowGenOptions {
 /// tasks (never fewer than the family's minimal template).
 TaskGraph generateWorkflow(WorkflowFamily family,
                            const WorkflowGenOptions& opts);
-
-/// --- generic families (tests / examples) ---
-
-/// A simple chain v_0 → v_1 → ... → v_{n-1}.
-TaskGraph genChain(int n, const WorkflowGenOptions& opts);
-
-/// A fork-join: source → `width` parallel branches of `depth` tasks → sink.
-TaskGraph genForkJoin(int width, int depth, const WorkflowGenOptions& opts);
-
-/// `n` independent tasks (no edges).
-TaskGraph genIndependent(int n, const WorkflowGenOptions& opts);
-
-/// A layered random DAG: `layers` layers of roughly equal size; each task
-/// draws 1..maxFanIn predecessors from the previous layer.
-TaskGraph genLayeredRandom(int n, int layers, int maxFanIn,
-                           const WorkflowGenOptions& opts);
-
-/// An Erdős–Rényi-style random DAG: edge (i, j), i < j in a random
-/// topological order, present with probability `edgeProb`.
-TaskGraph genRandomDag(int n, double edgeProb, const WorkflowGenOptions& opts);
 
 } // namespace cawo

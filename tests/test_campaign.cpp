@@ -14,9 +14,11 @@
 #include "exp/campaign.hpp"
 #include "exp/campaign_runner.hpp"
 #include "exp/json.hpp"
+#include "exp/record_json.hpp"
 #include "profile/scenario.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
+#include "support/campaign_json_string.hpp"
 #include "test_util.hpp"
 #include "util/require.hpp"
 
@@ -305,19 +307,45 @@ TEST(CampaignRun, RecordsMatchContextFreeDirectSolvesBitForBit) {
   }
 }
 
-TEST(CampaignRun, ParallelRunMatchesSerialRun) {
-  CampaignSpec serial = tinySpec();
-  setCampaignKey(serial, "threads", "1");
-  CampaignSpec parallel = tinySpec();
-  setCampaignKey(parallel, "threads", "4");
+/// A record's JSON line with the wall-clock fields zeroed — every other
+/// byte is deterministic.
+std::string recordLineSansWallTimes(CampaignRecord record) {
+  record.wallMs = 0.0;
+  record.greedyMs = 0.0;
+  record.lsMs = 0.0;
+  record.resolveWallMs = 0.0;
+  return campaignRecordJsonLine(record);
+}
 
-  const CampaignOutcome a = runCampaign(serial);
-  const CampaignOutcome b = runCampaign(parallel);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].instance, b.records[i].instance);
-    EXPECT_EQ(a.records[i].solver, b.records[i].solver);
-    EXPECT_EQ(a.records[i].cost, b.records[i].cost);
+TEST(CampaignRun, ParallelRunMatchesSerialRun) {
+  // Offline and online campaigns write their cell groups through
+  // different cell runners; both must fill the same slots at any thread
+  // count.
+  CampaignSpec online = tinySpec();
+  setCampaignKey(online, "families", "atacseq");
+  setCampaignKey(online, "tasks", "20");
+  setCampaignKey(online, "algos", "ASAP,pressWR-LS");
+  setCampaignKey(online, "online", "1");
+  setCampaignKey(online, "policies", "static,reactive:threshold=0.05");
+  for (const CampaignSpec& spec : {tinySpec(), online}) {
+    CampaignSpec serial = spec;
+    setCampaignKey(serial, "threads", "1");
+    CampaignSpec parallel = spec;
+    setCampaignKey(parallel, "threads", "4");
+
+    const CampaignOutcome a = runCampaign(serial);
+    const CampaignOutcome b = runCampaign(parallel);
+    ASSERT_EQ(a.records.size(), a.numInstances * a.solvers.size());
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+      EXPECT_EQ(a.records[i].instance, b.records[i].instance);
+      EXPECT_EQ(a.records[i].solver, b.records[i].solver);
+      EXPECT_EQ(a.records[i].policy, b.records[i].policy);
+      EXPECT_EQ(a.records[i].cost, b.records[i].cost);
+      EXPECT_EQ(recordLineSansWallTimes(a.records[i]),
+                recordLineSansWallTimes(b.records[i]))
+          << "record " << i << " of campaign online=" << spec.online;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
+#include "support/cost_reference.hpp"
 #include "test_util.hpp"
 
 namespace cawo {

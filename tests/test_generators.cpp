@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "support/generic_graphs.hpp"
 #include "workflow/generators.hpp"
 
 namespace cawo {

@@ -14,6 +14,7 @@
 
 #include "exp/campaign.hpp"
 #include "exp/campaign_runner.hpp"
+#include "support/campaign_json_string.hpp"
 
 namespace cawo {
 namespace {

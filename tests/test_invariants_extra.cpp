@@ -19,6 +19,7 @@
 #include "profile/scenario.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
+#include "support/cost_reference.hpp"
 #include "test_util.hpp"
 #include "workflow/generators.hpp"
 

@@ -1,7 +1,7 @@
 // The telemetry layer (src/obs/): histogram edge cases pinned for the
-// serve daemon's byte-stability contract, the metrics registry, and the
-// trace recorder — state machine, Chrome trace-event JSON shape, span
-// nesting by containment, and the explicit-timestamp span API.
+// serve daemon's byte-stability contract, and the trace recorder — state
+// machine, Chrome trace-event JSON shape, span nesting by containment, and
+// the explicit-timestamp span API.
 
 #include <gtest/gtest.h>
 
@@ -122,54 +122,6 @@ TEST(Histogram, ClearResetsEverything) {
   EXPECT_EQ(h.count(), 0);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
   for (const std::int64_t c : h.bucketCounts()) EXPECT_EQ(c, 0);
-}
-
-// ---------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------
-
-TEST(MetricsRegistry, LookupRegistersOnceAndReturnsStableRefs) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x.count");
-  a.add(3);
-  Counter& b = reg.counter("x.count");
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(b.value(), 3);
-  reg.gauge("x.depth").set(7);
-  reg.histogram("x.lat").record(2.0);
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  reg.counter("c").add(5);
-  reg.gauge("g").set(9);
-  reg.histogram("h").record(1.0);
-  reg.reset();
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.counter("c").value(), 0);
-  EXPECT_EQ(reg.gauge("g").value(), 0);
-  EXPECT_EQ(reg.histogram("h").count(), 0);
-}
-
-TEST(MetricsRegistry, WriteTextIsNameSorted) {
-  MetricsRegistry reg;
-  reg.counter("b.second").add(2);
-  reg.counter("a.first").add(1);
-  std::ostringstream out;
-  reg.writeText(out);
-  const std::string text = out.str();
-  EXPECT_LT(text.find("a.first 1"), text.find("b.second 2"));
-}
-
-TEST(MetricsRegistry, HarvestSolveStatsSumsIntoGlobalCounters) {
-  MetricsRegistry& global = MetricsRegistry::global();
-  const std::int64_t count0 = global.counter("solve.count").value();
-  const std::int64_t us0 = global.counter("solve.stats.greedy-us").value();
-  harvestSolveStats({{"greedy-us", 120}});
-  harvestSolveStats({{"greedy-us", 30}});
-  EXPECT_EQ(global.counter("solve.count").value(), count0 + 2);
-  EXPECT_EQ(global.counter("solve.stats.greedy-us").value(), us0 + 150);
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
+#include "support/campaign_json_string.hpp"
 #include "test_util.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"

@@ -18,6 +18,7 @@
 #include "profile/profile_source.hpp"
 #include "profile/scenario.hpp"
 #include "sim/instance.hpp"
+#include "support/campaign_json_string.hpp"
 #include "util/require.hpp"
 
 namespace cawo {

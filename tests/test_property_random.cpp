@@ -11,6 +11,8 @@
 #include "exact/branch_and_bound.hpp"
 #include "heft/heft.hpp"
 #include "profile/scenario.hpp"
+#include "support/cost_reference.hpp"
+#include "support/generic_graphs.hpp"
 #include "test_util.hpp"
 #include "workflow/generators.hpp"
 

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <regex>
 #include <sstream>
 
@@ -21,6 +22,7 @@
 #include "exp/campaign_runner.hpp"
 #include "exp/record_json.hpp"
 #include "exp/store.hpp"
+#include "support/campaign_json_string.hpp"
 #include "util/require.hpp"
 
 namespace cawo {
@@ -50,7 +52,8 @@ std::string freshDir(const std::string& name) {
 }
 
 /// Wall times are the only nondeterministic record bytes; scrub exactly
-/// like the golden capture (tests/test_golden_outputs.cpp).
+/// like the golden capture (tests/test_golden_outputs.cpp), plus the
+/// online records' re-solve wall time.
 std::string scrubWallTimes(std::string json) {
   json = std::regex_replace(json, std::regex("\"wall_ms\": [-+0-9.eE]+"),
                             "\"wall_ms\": 0");
@@ -61,6 +64,9 @@ std::string scrubWallTimes(std::string json) {
                             "\"greedy_ms\": 0");
   json = std::regex_replace(json, std::regex("\"ls_ms\": [-+0-9.eE]+"),
                             "\"ls_ms\": 0");
+  json = std::regex_replace(json,
+                            std::regex("\"resolve_wall_ms\": [-+0-9.eE]+"),
+                            "\"resolve_wall_ms\": 0");
   return json;
 }
 
@@ -143,26 +149,37 @@ TEST(Store, WriteReadRoundTripAndIndex) {
 }
 
 TEST(Store, DocumentMatchesLegacyPathByteForByte) {
-  const CampaignSpec spec = smallSpec();
-  const std::string dir = freshDir("parity");
-  CampaignStoreWriter store(dir, spec);
-  (void)runCampaignToStore({}, store);
+  // Offline and online campaigns fill their cell groups through different
+  // cell runners; both must export the same bytes as the in-memory path.
+  CampaignSpec online = smallSpec();
+  setCampaignKey(online, "tasks", "12");
+  setCampaignKey(online, "seeds", "1");
+  setCampaignKey(online, "online", "1");
+  setCampaignKey(online, "policies", "static,reactive:threshold=0.05");
+  for (const CampaignSpec& spec : {smallSpec(), online}) {
+    const std::string dir =
+        freshDir(spec.online ? "parity_online" : "parity");
+    CampaignStoreWriter store(dir, spec);
+    (void)runCampaignToStore({}, store);
 
-  const std::string legacy = toCampaignJsonString(runCampaign(spec));
-  EXPECT_EQ(scrubWallTimes(storeDocument(dir)), scrubWallTimes(legacy));
+    const CampaignOutcome inMemory = runCampaign(spec);
+    const std::string legacy = toCampaignJsonString(inMemory);
+    EXPECT_EQ(scrubWallTimes(storeDocument(dir)), scrubWallTimes(legacy))
+        << "online=" << spec.online;
 
-  // The streaming summary must agree with the document's, field for field.
-  CampaignStoreReader reader(dir);
-  const CampaignOutcome summarised = summariseStore(reader);
-  const CampaignOutcome inMemory = runCampaign(spec);
-  ASSERT_EQ(summarised.summaries.size(), inMemory.summaries.size());
-  for (std::size_t s = 0; s < summarised.summaries.size(); ++s) {
-    EXPECT_EQ(summarised.summaries[s].solver, inMemory.summaries[s].solver);
-    EXPECT_EQ(summarised.summaries[s].wins, inMemory.summaries[s].wins);
-    EXPECT_EQ(summarised.summaries[s].medianRatio,
-              inMemory.summaries[s].medianRatio);
-    EXPECT_EQ(summarised.summaries[s].meanRatio,
-              inMemory.summaries[s].meanRatio);
+    // The streaming summary must agree with the document's, field for
+    // field.
+    CampaignStoreReader reader(dir);
+    const CampaignOutcome summarised = summariseStore(reader);
+    ASSERT_EQ(summarised.summaries.size(), inMemory.summaries.size());
+    for (std::size_t s = 0; s < summarised.summaries.size(); ++s) {
+      EXPECT_EQ(summarised.summaries[s].solver, inMemory.summaries[s].solver);
+      EXPECT_EQ(summarised.summaries[s].wins, inMemory.summaries[s].wins);
+      EXPECT_EQ(summarised.summaries[s].medianRatio,
+                inMemory.summaries[s].medianRatio);
+      EXPECT_EQ(summarised.summaries[s].meanRatio,
+                inMemory.summaries[s].meanRatio);
+    }
   }
 }
 
@@ -246,6 +263,45 @@ TEST(Store, ResumeUnderDifferentSpecIsRejected) {
   StoreOptions resume;
   resume.resume = true;
   EXPECT_NO_THROW(CampaignStoreWriter(dir, rethreaded, resume));
+}
+
+TEST(Store, ShardCountBeyondManifestRangeIsRejectedBeforeAnyFile) {
+  // The manifest stores the count as an int64: 2^64-1 would be written as
+  // -1 and leave a store no reader can open.
+  const std::string dir = freshDir("shardwrap");
+  StoreOptions options;
+  options.shardCount = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(CampaignStoreWriter(dir, smallSpec(), options),
+               PreconditionError);
+  EXPECT_FALSE(fs::exists(dir));
+  options.shardCount =
+      static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max()) + 1;
+  EXPECT_THROW(CampaignStoreWriter(dir, smallSpec(), options),
+               PreconditionError);
+  EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(Store, ManifestWithNonPositiveShardCountIsRejected) {
+  const std::string dir = freshDir("badmanifest");
+  { CampaignStoreWriter store(dir, smallSpec()); }
+  const std::string manifest = dir + "/manifest.json";
+  const std::string text = readFile(manifest);
+  const std::string field = "\"shards\": 1,";
+  ASSERT_NE(text.find(field), std::string::npos) << text;
+  for (const char* shards : {"-1", "0", "-9223372036854775808"}) {
+    std::string edited = text;
+    edited.replace(edited.find(field), field.size(),
+                   "\"shards\": " + std::string(shards) + ",");
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << edited;
+    try {
+      CampaignStoreReader reader(dir);
+      ADD_FAILURE() << "shards " << shards << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("shards must be >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

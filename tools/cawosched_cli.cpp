@@ -97,9 +97,9 @@ void parseShardFlag(const std::string& value, StoreOptions& options) {
                "--shard wants i/N (0-based), e.g. --shard=0/4 — got \"" +
                    value + "\"");
   options.shardIndex = static_cast<std::size_t>(
-      parseInt64Strict("--shard index", std::string(trim(parts[0]))));
+      parseUint64Strict("--shard index", std::string(trim(parts[0]))));
   options.shardCount = static_cast<std::size_t>(
-      parseInt64Strict("--shard count", std::string(trim(parts[1]))));
+      parseUint64Strict("--shard count", std::string(trim(parts[1]))));
   CAWO_REQUIRE(options.shardCount >= 1 &&
                    options.shardIndex < options.shardCount,
                "--shard=" + value + ": index must be 0-based and below "
